@@ -15,7 +15,8 @@
 //! Two further groups sweep the *rack count* (1 / 4 / 16 / 64) at a fixed
 //! per-rack shape: one isolates the cluster controller's digest-only
 //! routing decision, the other drives a routed admit/release trace through
-//! a whole federated [`DredboxSystem`]. Together they hold the two-level
+//! one single-rack [`DredboxSystem`] per rack under a
+//! [`ClusterController`]. Together they hold the two-level
 //! headline to account — per-decision cost must grow no worse than
 //! logarithmically in racks, never linearly in bricks.
 
@@ -28,7 +29,7 @@ use dredbox::memory::{AllocationPolicy, PickStrategy};
 use dredbox::orchestrator::prelude::*;
 use dredbox::sim::rng::SimRng;
 use dredbox::sim::units::{Bandwidth, ByteSize};
-use dredbox::{DredboxSystem, SystemConfig};
+use dredbox::{DredboxSystem, SystemConfig, VmHandle};
 
 /// One step of the mixed control-plane trace.
 #[derive(Debug, Clone, Copy)]
@@ -407,21 +408,81 @@ fn federated_trace(ops: usize) -> Vec<Op> {
         .collect()
 }
 
+/// The federation as every multi-rack caller drives it: one single-rack
+/// system per rack under a standalone cluster controller fed each rack's
+/// published digest.
+struct Federation {
+    racks: Vec<DredboxSystem>,
+    controller: ClusterController,
+}
+
+impl Federation {
+    fn build(racks: u16) -> Self {
+        let config = SystemConfig::datacenter_rack(2, 4, 4);
+        let mut federation = Federation {
+            racks: (0..racks)
+                .map(|_| DredboxSystem::build(config.clone()).expect("build rack"))
+                .collect(),
+            controller: ClusterController::new(config.placement),
+        };
+        for rack in 0..federation.racks.len() {
+            federation.publish(rack);
+        }
+        federation
+    }
+
+    /// Copies rack `rack`'s published digest into the cluster controller.
+    fn publish(&mut self, rack: usize) {
+        if let Some(digest) = self.racks[rack].cluster().digest(RackId(0)) {
+            self.controller.upsert(RackId(rack as u16), *digest);
+        }
+    }
+
+    /// Routes one admission (rack 0 when no digest admits it), spilling
+    /// over to the other racks in preference order on refusal.
+    fn admit(&mut self, vcpus: u32, memory: ByteSize) -> Option<(usize, VmHandle)> {
+        let first = self
+            .controller
+            .route(vcpus, memory)
+            .rack
+            .unwrap_or(RackId(0));
+        let mut candidate = Some(first);
+        let mut spill = Vec::new().into_iter();
+        while let Some(rack) = candidate {
+            let idx = usize::from(rack.0);
+            let admitted = self.racks[idx].allocate_vm(vcpus, memory);
+            self.publish(idx);
+            if let Ok(vm) = admitted {
+                return Some((idx, vm));
+            }
+            if rack == first {
+                // Only a refusal materializes the spillover order.
+                spill = self
+                    .controller
+                    .spillover_order(vcpus, memory, Some(first))
+                    .into_iter();
+            }
+            candidate = spill.next();
+        }
+        None
+    }
+}
+
 /// Replays the federated trace end to end: cluster routing, rack
-/// admission, digest refresh; `Power` ops become per-rack power sweeps.
-/// Drains every surviving VM at the end so the system returns to an idle
-/// steady state and one instance can be replayed repeatedly — keeping the
-/// (rack-count-proportional) build and drop of the federation outside the
-/// measured region.
-fn run_federated_trace(system: &mut DredboxSystem, ops: &[Op]) -> usize {
-    let racks = system.rack_count() as u32;
+/// admission, digest publication; `Power` ops become per-rack power
+/// sweeps. Drains every surviving VM at the end so the federation returns
+/// to an idle steady state and one instance can be replayed repeatedly —
+/// keeping the (rack-count-proportional) build and drop of the federation
+/// outside the measured region.
+fn run_federated_trace(federation: &mut Federation, ops: &[Op]) -> usize {
+    let racks = federation.racks.len() as u32;
     let mut live = Vec::new();
     let mut admitted = 0usize;
     for op in ops {
         match *op {
             Op::Alloc(vcpus, gib) => {
-                if let Ok(outcome) = system.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                    live.push(outcome.vm);
+                if let Some(placed) = federation.admit(vcpus, ByteSize::from_gib(gib)) {
+                    live.push(placed);
                     admitted += 1;
                 }
             }
@@ -429,17 +490,25 @@ fn run_federated_trace(system: &mut DredboxSystem, ops: &[Op]) -> usize {
                 if live.is_empty() {
                     continue;
                 }
-                let vm = live.swap_remove(pick % live.len());
-                system.release_vm(vm).expect("live VM releases");
+                let (rack, vm) = live.swap_remove(pick % live.len());
+                federation.racks[rack]
+                    .release_vm(vm)
+                    .expect("live VM releases");
+                federation.publish(rack);
             }
             Op::Power(slot, _) => {
-                system.power_off_unused_in(RackId((slot % racks) as u16));
+                let rack = (slot % racks) as usize;
+                federation.racks[rack].power_off_unused();
+                federation.publish(rack);
             }
             _ => unreachable!("federated trace only emits alloc/release/power"),
         }
     }
-    for vm in live.drain(..) {
-        system.release_vm(vm).expect("live VM releases");
+    for (rack, vm) in live.drain(..) {
+        federation.racks[rack]
+            .release_vm(vm)
+            .expect("live VM releases");
+        federation.publish(rack);
     }
     admitted
 }
@@ -452,9 +521,8 @@ fn bench_federated_admission(c: &mut Criterion) {
     // the sweep varies only the rack-count term of each decision.
     for racks in [1u16, 4, 16, 64] {
         group.bench_with_input(BenchmarkId::new("routed", racks), &racks, |b, &racks| {
-            let mut system = DredboxSystem::build(SystemConfig::datacenter_cluster(racks, 2, 4, 4))
-                .expect("build federation");
-            b.iter(|| black_box(run_federated_trace(&mut system, &ops)))
+            let mut federation = Federation::build(racks);
+            b.iter(|| black_box(run_federated_trace(&mut federation, &ops)))
         });
     }
     group.finish();

@@ -9,12 +9,13 @@ use dredbox_orchestrator::{PlacementPolicy, SdmTimings};
 use dredbox_sim::units::Watts;
 use dredbox_softstack::{MigrationModel, ScaleUpTimings};
 
-/// Configuration of a [`crate::DredboxSystem`].
+/// Configuration of a [`crate::DredboxSystem`] — or, with `racks > 1`, of
+/// a scenario's datacenter of identical racks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
-    /// Number of federated racks. One rack reproduces the original
-    /// single-controller system; more put a cluster controller above the
-    /// per-rack SDM controllers.
+    /// Number of racks. [`crate::DredboxSystem::build`] takes exactly one;
+    /// a scenario with more replays one single-rack system per rack under
+    /// a cluster controller above the per-rack SDM controllers.
     #[serde(default)]
     pub racks: u16,
     /// Per-rack provisioned-power budget enforced by the cluster

@@ -2,10 +2,10 @@
 //! plus one shard per rack, each owning its own single-rack
 //! [`DredboxSystem`].
 //!
-//! The serial engine drives multi-rack scenarios through one shared
-//! [`DredboxSystem`] that federates every rack. That sharing is exactly
-//! what the threaded runner cannot tolerate — a worker thread must own
-//! every byte its shard touches — so this module partitions the cluster:
+//! This is the one multi-rack execution path: every multi-rack scenario
+//! replays here, serially at `threads = 1` and on worker threads
+//! otherwise. A worker thread must own every byte its shard touches, so
+//! the cluster is partitioned:
 //!
 //! * **Shard 0, the front door** ([`FrontDoor`]), owns the arrival trace
 //!   and a standalone [`ClusterController`] fed by periodic capacity
@@ -32,22 +32,19 @@
 //! rack→rack channel) give the conservative runner its lookahead: between
 //! control-interval ticks every rack advances a full epoch in parallel.
 //!
-//! The partition is the semantics, not an approximation of the shared
-//! system: `threads = 1` replays the identical event order, so the
-//! committed multi-rack goldens are the proof that worker counts never
-//! leak into a report.
+//! `threads = 1` replays the identical event order, so the committed
+//! multi-rack goldens are the proof that worker counts never leak into a
+//! report.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dredbox_bricks::{BrickId, RackId};
 use dredbox_orchestrator::{ClusterController, ClusterTimings};
-use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
-use dredbox_sim::queue::ControlPlaneQueue;
 use dredbox_sim::rng::SimRng;
-use dredbox_sim::shard::ShardId;
+use dredbox_sim::shard::{RunOutcome, ShardId};
 use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
@@ -98,8 +95,7 @@ impl FrontDoor {
         );
     }
 
-    /// First routing decision for one arrival. Mirrors
-    /// [`DredboxSystem::allocate_vm_routed`]: when no digest admits the
+    /// First routing decision for one arrival. When no digest admits the
     /// request, the first schedulable rack still gets to try (its SDM
     /// controller owns the authoritative rejection); with every rack
     /// drained the front door rejects outright.
@@ -355,10 +351,10 @@ impl<'a> ClusterWorld<'a> {
     }
 
     /// Drains `source`: stops routing admissions to it and migrates every
-    /// resident VM onto the best other rack per the front door's digests.
-    /// VMs no surviving rack can hold stay put and count as stranded —
-    /// same semantics as the shared system's drain, played out across the
-    /// partitioned rack worlds.
+    /// resident VM, in admission order, onto the best other rack per the
+    /// front door's digests. Nothing stays resident across racks: each
+    /// evacuee is placed fresh and pays a full copy. VMs no surviving rack
+    /// can hold stay put and count as stranded.
     fn evacuate_rack(
         &mut self,
         now: SimTime,
@@ -376,7 +372,7 @@ impl<'a> ClusterWorld<'a> {
         let mut src = self.rack_shards[src_idx]
             .take()
             .expect("the engine reunites workers before serial events");
-        for vm in src.world.system.vms_on_rack(RackId(0)) {
+        for vm in src.world.system.live_vms() {
             let Some(vcpus) = src.world.system.vm_vcpus(vm) else {
                 continue;
             };
@@ -460,10 +456,9 @@ impl<'a> ClusterWorld<'a> {
     }
 
     /// Delivers one planned fault at an epoch barrier. Rack-local damage
-    /// replays the single-system recovery protocol inside the struck
-    /// rack's world; guests that rack can no longer hold get the
-    /// cross-rack restart the federation owes them, placed here by the
-    /// coordinator.
+    /// runs the single-rack recovery protocol inside the struck rack's
+    /// world; guests that rack can no longer hold are restarted on another
+    /// rack, placed here by the coordinator.
     fn cluster_fault(
         &mut self,
         now: SimTime,
@@ -533,9 +528,7 @@ impl<'a> ClusterWorld<'a> {
             .take()
             .expect("the engine reunites workers before serial events");
         let damage = (|| {
-            let brick = src
-                .world
-                .fault_brick(RackId(0), site.kind, site.component)?;
+            let brick = src.world.fault_brick(site.kind, site.component)?;
             // Captured before the failure: who must be alive somewhere
             // once recovery is done.
             let residents: Vec<(VmHandle, u32, ByteSize)> = src
@@ -565,9 +558,8 @@ impl<'a> ClusterWorld<'a> {
             // Evacuation downtime is availability lost to the fault.
             self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
         }
-        // The single-rack system had nowhere to spill; the coordinator
-        // provides the cross-rack restart pass the federation used to run
-        // inline.
+        // The single-rack system strands what it cannot re-home within the
+        // rack; the coordinator restarts those guests on other racks.
         let front = self
             .front
             .as_mut()
@@ -628,9 +620,7 @@ impl<'a> ClusterWorld<'a> {
         let shard = self.rack_shards[struck]
             .as_mut()
             .expect("the engine reunites workers before serial events");
-        let brick = shard
-            .world
-            .fault_brick(RackId(0), site.kind, site.component)?;
+        let brick = shard.world.fault_brick(site.kind, site.component)?;
         let report = shard.world.system.fail_membrick(brick).ok()?;
         let affected = report.restarted.len() as u64 + u64::from(report.lost);
         self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
@@ -668,9 +658,7 @@ impl<'a> ClusterWorld<'a> {
         let shard = self.rack_shards[struck]
             .as_mut()
             .expect("the engine reunites workers before serial events");
-        let brick = shard
-            .world
-            .fault_brick(RackId(0), site.kind, site.component)?;
+        let brick = shard.world.fault_brick(site.kind, site.component)?;
         let report = shard.world.system.fail_accel_brick(brick).ok()?;
         let affected = report.drained.len() as u64;
         self.availability.sessions_dropped += report.drained.len() as u64;
@@ -706,17 +694,17 @@ impl<'a> ClusterWorld<'a> {
             .world;
         match site.kind {
             FaultKind::ComputeBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_compute_brick(brick);
                 }
             }
             FaultKind::MemoryBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_membrick(brick);
                 }
             }
             FaultKind::AccelBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_accel_brick(brick);
                 }
             }
@@ -793,21 +781,12 @@ impl<'a> ClusterWorld<'a> {
             c.bitstream_reuses += w.counters.bitstream_reuses;
             c.bitstream_programs += w.counters.bitstream_programs;
             c.accel_wakes += w.counters.accel_wakes;
-            stats.routed_admissions += w.cluster_stats.routed_admissions;
-            stats.spillovers += w.cluster_stats.spillovers;
-            stats.power_deferrals += w.cluster_stats.power_deferrals;
-            stats.cross_rack_migrations += w.cluster_stats.cross_rack_migrations;
-            stats.racks_drained += w.cluster_stats.racks_drained;
-            stats.drain_stranded += w.cluster_stats.drain_stranded;
-            stats.admissions_per_rack[r] = w.cluster_stats.admissions_per_rack[0];
-            stats.power_off_per_rack[r] = w.cluster_stats.power_off_per_rack[0];
-            peak_queue = peak_queue.max(
-                w.control_planes
-                    .iter()
-                    .map(ControlPlaneQueue::peak_depth)
-                    .max()
-                    .unwrap_or(0) as u64,
-            );
+            // Every admission a rack world books arrived routed from the
+            // front door, and its sweeps are its only power-offs.
+            stats.routed_admissions += w.counters.admitted;
+            stats.admissions_per_rack[r] = w.counters.admitted;
+            stats.power_off_per_rack[r] = w.counters.bricks_powered_off;
+            peak_queue = peak_queue.max(w.control_plane.peak_depth() as u64);
             scale_up_delays_s.extend_from_slice(&w.scale_up_delays_s);
             read_latencies_ns.extend_from_slice(&w.read_latencies_ns);
             utilization.extend_from_slice(&w.utilization);
@@ -888,12 +867,8 @@ fn place_on_cluster(
         let shard = rack_shards[usize::from(dest.0)]
             .as_mut()
             .expect("the engine reunites workers before serial events");
-        if let Ok(outcome) = shard
-            .world
-            .system
-            .allocate_vm_preferring(RackId(0), vcpus, memory)
-        {
-            return Some((dest, outcome.vm));
+        if let Ok(vm) = shard.world.system.allocate_vm(vcpus, memory) {
+            return Some((dest, vm));
         }
     }
     None
@@ -942,7 +917,7 @@ fn book_cross_rack_move(
     );
     // Cross-rack moves cannot preserve pooled memory across the fabric
     // boundary: a conventional full copy plus the destination's admission
-    // orchestration, exactly as the shared system prices them.
+    // orchestration.
     let full_copy = spec.system.migration.conventional_migration(memory);
     let report = MigrationReport {
         vm,

@@ -1,57 +1,53 @@
-//! The mutable world the sharded discrete-event engine drives.
+//! The mutable world of one rack that the sharded discrete-event engine
+//! drives.
 //!
 //! This module is the state-machine half of the scenario engine: the
 //! [`ScenarioEvent`] alphabet, the per-replay [`Counters`], and
 //! [`ScenarioWorld`] — the [`ShardedProcess`] implementation that turns
-//! each popped event into calls on the [`DredboxSystem`] and schedules the
-//! follow-ups. The spec/report half lives in the parent module.
+//! each popped event into calls on its single-rack [`DredboxSystem`] and
+//! schedules the follow-ups. The spec/report half lives in the parent
+//! module.
 //!
 //! Hot-path discipline: the world never clones system state per event —
 //! VM and hypervisor records are interned in slab arenas inside
-//! [`DredboxSystem`], every SDM request serializes through the owning
-//! rack's [`ControlPlaneQueue`], and power sweeps batch per rack per tick
-//! via [`DredboxSystem::power_off_unused_in`].
+//! [`DredboxSystem`], every SDM request serializes through the rack's
+//! [`ControlPlaneQueue`], and each power-sweep tick is one
+//! [`DredboxSystem::power_off_unused`] call.
 //!
 //! ## Two orchestration tiers, one event alphabet
 //!
-//! On a single-rack system an [`ScenarioEvent::Arrival`] admits inline,
-//! exactly as it always has. When the system federates racks, this world
-//! no longer sees arrivals at all: the cluster front door (shard 0 of the
-//! partitioned [`ClusterWorld`](super::cluster::ClusterWorld)) batches the
-//! arrival trace per control interval, consults its capacity digests and
-//! hands each request to the chosen rack's shard as a timestamped
-//! [`ScenarioEvent::AdmitOn`] message — one control-network hop later the
-//! rack's own SDM controller admits (or spills back to the front door).
-//! Each rack's world then owns a single-rack [`DredboxSystem`], so every
-//! follow-up of the VM's life is rack-local and a worker thread can drive
-//! the rack without sharing mutable state.
+//! A single-rack scenario replays one world, and an
+//! [`ScenarioEvent::Arrival`] admits inline. A multi-rack scenario replays
+//! one world per rack inside the partitioned
+//! [`ClusterWorld`](super::cluster::ClusterWorld): its cluster front door
+//! batches the arrival trace per control interval, consults its capacity
+//! digests and hands each request to the chosen rack's shard as a
+//! timestamped [`ScenarioEvent::AdmitOn`] message — one control-network hop
+//! later the rack's own SDM controller admits (or spills back to the front
+//! door). Every follow-up of the VM's life is rack-local, so a worker
+//! thread drives the rack without sharing mutable state; operations that
+//! span racks (drains, upgrades, cross-rack fault recovery) run in the
+//! cluster world, never here.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dredbox_bricks::{BrickId, RackId};
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
-use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::parallel::WorkerContext;
 use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::rng::SimRng;
-use dredbox_sim::shard::{ShardContext, ShardId, ShardedProcess};
+use dredbox_sim::shard::{RunOutcome, ShardContext, ShardId, ShardedProcess};
 use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
 use dredbox_workload::VmDemand;
 
-use crate::snapshot::SystemSnapshot;
-use crate::system::{
-    AdmissionOutcome, DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle,
-};
+use crate::system::{DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle};
 
 use super::datapath::DataPathState;
-use super::{
-    AvailabilityStats, ChurnModel, ClusterScenarioStats, MigrationPolicy, ScenarioReport,
-    ScenarioSpec,
-};
+use super::{AvailabilityStats, ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
 
 /// Events driving one scenario replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,10 +96,11 @@ pub(super) enum ScenarioEvent {
         session: OffloadSessionId,
         remaining: u32,
     },
-    /// Periodic power-management sweep over one rack's bricks.
-    PowerSweep { rack: u16 },
+    /// Periodic power-management sweep over the rack's bricks.
+    PowerSweep,
     /// Drain `rack`: stop routing admissions to it and migrate its VMs
-    /// onto the other racks, per the spec's [`DrainPlan`](super::DrainPlan).
+    /// onto the other racks, per the spec's [`DrainPlan`](super::DrainPlan)
+    /// (a cluster-tier event).
     DrainRack { rack: u16 },
     /// Periodic migration/rebalance pass per the spec's
     /// [`MigrationPolicy`].
@@ -115,7 +112,7 @@ pub(super) enum ScenarioEvent {
     Repair { index: usize },
     /// One stage of the spec's [`UpgradePlan`](super::UpgradePlan): drain
     /// `rack`, snapshot the controller, restore it bit-identically and
-    /// readmit the rack.
+    /// readmit the rack (a cluster-tier event).
     UpgradeRack { rack: u16 },
     /// One sampled burst of the VM's remote-memory access stream per the
     /// spec's [`DataPathConfig`](super::DataPathConfig).
@@ -181,21 +178,16 @@ impl EventSink for Vec<(SimTime, ScenarioEvent)> {
     }
 }
 
-/// The mutable world the discrete-event engine drives.
+/// The mutable world of one rack that the discrete-event engine drives.
 pub(super) struct ScenarioWorld<'a> {
     pub(super) spec: &'a ScenarioSpec,
     pub(super) system: DredboxSystem,
     pub(super) demands: Arc<Vec<VmDemand>>,
     pub(super) rng: SimRng,
     pub(super) counters: Counters,
-    /// Cluster-tier telemetry; reported only on multi-rack systems.
-    pub(super) cluster_stats: ClusterScenarioStats,
     /// Serializes every SDM request of the replay (admissions, scale-ups,
-    /// releases, migrations) — one queue per rack, keyed by the rack that
-    /// owns the touched VM, so both sharding modes charge the same queue.
-    pub(super) control_planes: Vec<ControlPlaneQueue>,
-    /// Number of racks this world owns (1 on a partitioned rack world).
-    pub(super) racks: u16,
+    /// releases, migrations) through the rack's one controller.
+    pub(super) control_plane: ControlPlaneQueue,
     pub(super) scale_up_delays_s: Vec<f64>,
     pub(super) read_latencies_ns: Vec<f64>,
     /// Precomputed remote-read latency total per [`READ_SIZES`] entry —
@@ -231,8 +223,8 @@ pub(super) struct ScenarioWorld<'a> {
 }
 
 impl<'a> ScenarioWorld<'a> {
-    /// Builds the world for one replay: one control-plane queue per rack
-    /// (each paying the spec's per-queued-request penalty) and empty
+    /// Builds the world for one replay: the rack's control-plane queue
+    /// (paying the spec's per-queued-request penalty) and empty
     /// counters/metric series.
     pub(super) fn new(
         spec: &'a ScenarioSpec,
@@ -242,10 +234,6 @@ impl<'a> ScenarioWorld<'a> {
         rng: SimRng,
     ) -> Self {
         let penalty = spec.system.sdm_timings.queued_request_penalty;
-        // The racks this world actually owns: the whole federation on the
-        // serial single-system path, exactly one on a partitioned rack
-        // world of the threaded cluster runner.
-        let racks = system.rack_count() as u16;
         // The *flat* remote-read latency model is pure in the transfer
         // size, so the per-arrival read charges can look totals up instead
         // of rebuilding a hop-by-hop breakdown per read. The table is a
@@ -257,7 +245,7 @@ impl<'a> ScenarioWorld<'a> {
                 .total()
                 .as_nanos() as f64
         });
-        let data_path = spec.data_path.map(|cfg| DataPathState::new(cfg, racks));
+        let data_path = spec.data_path.map(DataPathState::new);
         ScenarioWorld {
             spec,
             system,
@@ -266,16 +254,7 @@ impl<'a> ScenarioWorld<'a> {
             read_latency_table,
             data_path,
             counters: Counters::default(),
-            cluster_stats: ClusterScenarioStats {
-                racks: u64::from(racks),
-                admissions_per_rack: vec![0; usize::from(racks)],
-                power_off_per_rack: vec![0; usize::from(racks)],
-                ..ClusterScenarioStats::default()
-            },
-            control_planes: (0..racks)
-                .map(|_| ControlPlaneQueue::new(penalty))
-                .collect(),
-            racks,
+            control_plane: ControlPlaneQueue::new(penalty),
             scale_up_delays_s: Vec::new(),
             read_latencies_ns: Vec::new(),
             utilization: Vec::new(),
@@ -296,16 +275,11 @@ impl<'a> ScenarioWorld<'a> {
 
     /// Maps a fault site's rack-relative ordinal onto the `component`-th
     /// brick of its kind in the rack (wrapped, so any schedule value names
-    /// a real brick). `None` for unknown racks or kinds the rack has no
-    /// bricks of.
-    pub(super) fn fault_brick(
-        &self,
-        rack: RackId,
-        kind: FaultKind,
-        component: u32,
-    ) -> Option<BrickId> {
-        let rack = self.system.rack_at(rack)?;
-        let ids: Vec<BrickId> = rack
+    /// a real brick). `None` for kinds the rack has no bricks of.
+    pub(super) fn fault_brick(&self, kind: FaultKind, component: u32) -> Option<BrickId> {
+        let ids: Vec<BrickId> = self
+            .system
+            .rack()
             .bricks()
             .filter(|b| match kind {
                 FaultKind::ComputeBrick => b.as_compute().is_some(),
@@ -320,15 +294,6 @@ impl<'a> ScenarioWorld<'a> {
         } else {
             Some(ids[component as usize % ids.len()])
         }
-    }
-
-    /// The rack owning a VM's compute brick, as a control-plane queue
-    /// index; rack 0 when the VM is already gone (the result is only used
-    /// on paths that verified the VM exists).
-    pub(super) fn vm_rack(&self, vm: VmHandle) -> usize {
-        self.system
-            .vm_brick(vm)
-            .map_or(0, |b| usize::from(self.system.rack_of(b).0))
     }
 
     /// The single accessor every remote-read latency draw goes through.
@@ -380,8 +345,7 @@ impl<'a> ScenarioWorld<'a> {
 
     /// Records one successful offload's report and counters.
     fn record_offload(&mut self, now: SimTime, report: &OffloadReport) -> QueueAdmission {
-        let admission =
-            self.admit_control(usize::from(report.rack.0), now, report.orchestration_delay);
+        let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.offloads += 1;
         if report.reused_bitstream {
             self.counters.bitstream_reuses += 1;
@@ -407,41 +371,27 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// Serializes one SDM request through the owning rack's control-plane
-    /// queue and records its queueing delay.
-    pub(super) fn admit_control(
-        &mut self,
-        rack: usize,
-        now: SimTime,
-        service: SimDuration,
-    ) -> QueueAdmission {
-        let admission = self.control_planes[rack].admit(now, service);
+    /// Serializes one SDM request through the rack's control-plane queue
+    /// and records its queueing delay.
+    pub(super) fn admit_control(&mut self, now: SimTime, service: SimDuration) -> QueueAdmission {
+        let admission = self.control_plane.admit(now, service);
         self.control_plane_wait_s
             .push(admission.queue_wait.as_secs_f64());
         admission
     }
 
-    /// Books one successful admission: counters, the owning rack's
-    /// control-plane serialization, the per-VM read charges, and the VM's
-    /// scheduled future (departure, churn, offloads).
-    fn finish_admission<S: EventSink>(
-        &mut self,
-        outcome: AdmissionOutcome,
-        now: SimTime,
-        ctx: &mut S,
-    ) {
-        let vm = outcome.vm;
+    /// Books one successful admission: counters, the rack's control-plane
+    /// serialization, the per-VM read charges, and the VM's scheduled
+    /// future (departure, churn, offloads).
+    fn finish_admission<S: EventSink>(&mut self, vm: VmHandle, now: SimTime, ctx: &mut S) {
         self.counters.admitted += 1;
         self.counters.live += 1;
         self.counters.peak_live = self.counters.peak_live.max(self.counters.live);
-        self.cluster_stats.spillovers += u64::from(outcome.spillovers);
-        self.cluster_stats.power_deferrals += u64::from(outcome.power_deferrals);
-        self.cluster_stats.admissions_per_rack[usize::from(outcome.rack.0)] += 1;
         // Serialize the admission through the SDM controller
         // queue: its lifetime starts once the control plane
         // actually finished configuring it.
         let service = self.system.admission_service_time(vm).unwrap_or_default();
-        let admission = self.admit_control(usize::from(outcome.rack.0), now, service);
+        let admission = self.admit_control(now, service);
         // Register the VM's read route with the data-path model before any
         // of its reads are priced, so its standing load is on the ledger.
         if let Some(dp) = self.data_path.as_mut() {
@@ -491,20 +441,18 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// Books one rejected admission: the rack's controller still pays the
-    /// request parse + availability inspection.
-    fn reject_admission(&mut self, rack: usize, now: SimTime) {
-        self.counters.rejected += 1;
+    /// Charges a rejected request's parse + availability inspection to the
+    /// rack's controller.
+    fn charge_inspection(&mut self, now: SimTime) {
         let timings = self.spec.system.sdm_timings;
-        self.admit_control(rack, now, timings.request_rpc + timings.availability_check);
+        self.admit_control(now, timings.request_rpc + timings.availability_check);
     }
 
-    /// One routed admission attempt on a partitioned rack world (the rack
-    /// is local rack 0 of its own single-rack system). On success the full
-    /// admission pipeline runs here; on failure the rack's controller pays
-    /// the inspection cost and the caller spills the request back to the
-    /// front door — the rejection, if it ever becomes final, is booked
-    /// there, not here.
+    /// One routed admission attempt on a rack world of the partitioned
+    /// cluster. On success the full admission pipeline runs here; on
+    /// failure the rack's controller pays the inspection cost and the
+    /// caller spills the request back to the front door — the rejection,
+    /// if it ever becomes final, is booked there, not here.
     pub(super) fn admit_routed<S: EventSink>(
         &mut self,
         index: usize,
@@ -512,22 +460,16 @@ impl<'a> ScenarioWorld<'a> {
         sink: &mut S,
     ) -> bool {
         let demand = self.demands[index];
-        let admitted =
-            match self
-                .system
-                .allocate_vm_preferring(RackId(0), demand.vcpus, demand.memory)
-            {
-                Ok(outcome) => {
-                    self.cluster_stats.routed_admissions += 1;
-                    self.finish_admission(outcome, now, sink);
-                    true
-                }
-                Err(_) => {
-                    let timings = self.spec.system.sdm_timings;
-                    self.admit_control(0, now, timings.request_rpc + timings.availability_check);
-                    false
-                }
-            };
+        let admitted = match self.system.allocate_vm(demand.vcpus, demand.memory) {
+            Ok(vm) => {
+                self.finish_admission(vm, now, sink);
+                true
+            }
+            Err(_) => {
+                self.charge_inspection(now);
+                false
+            }
+        };
         self.sample_utilization();
         admitted
     }
@@ -549,11 +491,7 @@ impl<'a> ScenarioWorld<'a> {
     }
 
     pub(super) fn record_migration(&mut self, now: SimTime, report: &MigrationReport) {
-        let admission = self.admit_control(
-            usize::from(report.from_rack.0),
-            now,
-            report.orchestration_delay,
-        );
+        let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.migrations += 1;
         self.migration_downtime_s
             .push((admission.queue_wait + report.downtime).as_secs_f64());
@@ -631,15 +569,14 @@ impl<'a> ScenarioWorld<'a> {
         let mut affected = 0u64;
         match site.kind {
             FaultKind::ComputeBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_compute_brick(brick) else {
                     return;
                 };
-                affected = u64::from(report.migrated + report.restarted + report.lost);
+                affected = u64::from(report.migrated + report.lost);
                 self.availability.vm_migrations += u64::from(report.migrated);
-                self.availability.vm_restarts += u64::from(report.restarted);
                 self.availability.vms_lost += u64::from(report.lost);
                 self.availability.sessions_dropped += u64::from(report.sessions_dropped);
                 self.availability.orphaned_bytes += report.orphaned.as_bytes();
@@ -659,7 +596,7 @@ impl<'a> ScenarioWorld<'a> {
                 self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
             }
             FaultKind::MemoryBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_membrick(brick) else {
@@ -683,7 +620,7 @@ impl<'a> ScenarioWorld<'a> {
                 }
             }
             FaultKind::AccelBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_accel_brick(brick) else {
@@ -737,17 +674,17 @@ impl<'a> ScenarioWorld<'a> {
         let rack = RackId(site.rack as u16);
         match site.kind {
             FaultKind::ComputeBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_compute_brick(brick);
                 }
             }
             FaultKind::MemoryBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_membrick(brick);
                 }
             }
             FaultKind::AccelBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_accel_brick(brick);
                 }
             }
@@ -757,44 +694,6 @@ impl<'a> ScenarioWorld<'a> {
             // The switch fault self-healed onto the standby at injection.
             FaultKind::Switch => {}
         }
-        self.sample_utilization();
-    }
-
-    /// One stage of a rolling upgrade: drain the rack, snapshot the whole
-    /// controller, serialize, restore, verify bit-identity and byte
-    /// conservation, then readmit the rack.
-    fn upgrade_rack(&mut self, now: SimTime, rack: u16) {
-        let allocated_before = self.system.pool_allocated();
-        let (reports, stranded) = self.system.drain_rack(RackId(rack));
-        self.cluster_stats.racks_drained += 1;
-        self.cluster_stats.drain_stranded += u64::from(stranded);
-        for report in &reports {
-            self.cluster_stats.cross_rack_migrations += 1;
-            self.record_migration(now, report);
-        }
-
-        // The servicing window: capture → serialize → restore. The restored
-        // controller must be the captured one bit for bit, and not a byte
-        // of pooled memory may go missing across the swap.
-        let bytes = SystemSnapshot::capture(&self.system).to_bytes();
-        self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
-        match SystemSnapshot::from_bytes(&bytes) {
-            Ok(snapshot) => {
-                let restored = snapshot.into_system();
-                if restored == self.system {
-                    self.system = restored;
-                } else {
-                    self.availability.upgrade_restore_mismatches += 1;
-                }
-            }
-            Err(_) => self.availability.upgrade_restore_mismatches += 1,
-        }
-        let allocated_after = self.system.pool_allocated();
-        self.availability.upgrade_lost_bytes += allocated_before
-            .as_bytes()
-            .saturating_sub(allocated_after.as_bytes());
-        self.availability.upgrades += 1;
-        self.system.undrain_rack(RackId(rack));
         self.sample_utilization();
     }
 
@@ -814,13 +713,6 @@ impl<'a> ScenarioWorld<'a> {
             .data_path
             .take()
             .map(|dp| dp.finish(read_latency.as_ref()));
-        // The cluster tier only exists on multi-rack systems; single-rack
-        // reports stay byte-identical to the pre-federation engine.
-        let cluster = if self.racks > 1 {
-            Some(self.cluster_stats)
-        } else {
-            None
-        };
         // The availability block only exists on specs that inject faults
         // or run a rolling upgrade; every pre-existing report (and golden)
         // stays byte-identical.
@@ -856,12 +748,7 @@ impl<'a> ScenarioWorld<'a> {
             bitstream_reuses: c.bitstream_reuses,
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: self
-                .control_planes
-                .iter()
-                .map(ControlPlaneQueue::peak_depth)
-                .max()
-                .unwrap_or(0) as u64,
+            control_plane_peak_queue: self.control_plane.peak_depth() as u64,
             scale_up_delay: Summary::from_samples(&self.scale_up_delays_s),
             read_latency,
             pool_utilization: Summary::from_samples(&self.utilization),
@@ -874,7 +761,8 @@ impl<'a> ScenarioWorld<'a> {
                 &self.offload_local_counterfactual_s,
             ),
             accel_utilization: Summary::from_samples(&self.accel_utilization),
-            cluster,
+            // The cluster tier reports from the partitioned cluster world.
+            cluster: None,
             availability,
             data_path,
         }
@@ -909,9 +797,12 @@ impl ScenarioWorld<'_> {
         match event {
             ScenarioEvent::Arrival { index } => {
                 let demand = self.demands[index];
-                match self.system.allocate_vm_routed(demand.vcpus, demand.memory) {
-                    Ok(outcome) => self.finish_admission(outcome, now, ctx),
-                    Err(_) => self.reject_admission(0, now),
+                match self.system.allocate_vm(demand.vcpus, demand.memory) {
+                    Ok(vm) => self.finish_admission(vm, now, ctx),
+                    Err(_) => {
+                        self.counters.rejected += 1;
+                        self.charge_inspection(now);
+                    }
                 }
                 self.sample_utilization();
             }
@@ -919,10 +810,12 @@ impl ScenarioWorld<'_> {
             | ScenarioEvent::SpillOver { .. }
             | ScenarioEvent::FrontDoorTick
             | ScenarioEvent::DigestPublish
-            | ScenarioEvent::DigestUpdate { .. } => {
-                // Cluster-tier events are intercepted by the federated
-                // workers (`scenario::cluster`) before they reach the world;
-                // a single-rack replay never schedules them.
+            | ScenarioEvent::DigestUpdate { .. }
+            | ScenarioEvent::DrainRack { .. }
+            | ScenarioEvent::UpgradeRack { .. } => {
+                // Cluster-tier events are intercepted by the cluster world
+                // (`scenario::cluster`) before they reach a rack world; a
+                // single-rack replay never schedules them.
                 unreachable!("cluster-tier event dispatched to a rack world");
             }
             ScenarioEvent::ScaleUp {
@@ -932,8 +825,7 @@ impl ScenarioWorld<'_> {
             } => {
                 match self.system.scale_up(vm, amount) {
                     Ok(report) => {
-                        let rack = self.vm_rack(vm);
-                        let admission = self.admit_control(rack, now, report.orchestration_delay);
+                        let admission = self.admit_control(now, report.orchestration_delay);
                         self.counters.scale_ups += 1;
                         self.scale_up_delays_s
                             .push((admission.queue_wait + report.total_delay).as_secs_f64());
@@ -960,8 +852,7 @@ impl ScenarioWorld<'_> {
                 amount,
             } => {
                 if let Ok(report) = self.system.scale_down(vm, amount) {
-                    let rack = self.vm_rack(vm);
-                    let admission = self.admit_control(rack, now, report.orchestration_delay);
+                    let admission = self.admit_control(now, report.orchestration_delay);
                     self.counters.scale_downs += 1;
                     if remaining > 1 {
                         if let Some(churn) = self.spec.churn {
@@ -980,7 +871,6 @@ impl ScenarioWorld<'_> {
                 self.sample_utilization();
             }
             ScenarioEvent::Departure { vm } => {
-                let rack = self.vm_rack(vm);
                 if self.system.release_vm(vm).is_ok() {
                     self.counters.departed += 1;
                     self.counters.live -= 1;
@@ -988,7 +878,7 @@ impl ScenarioWorld<'_> {
                         dp.on_departure(vm);
                     }
                     let timings = self.spec.system.sdm_timings;
-                    self.admit_control(rack, now, timings.request_rpc + timings.reservation_write);
+                    self.admit_control(now, timings.request_rpc + timings.reservation_write);
                 }
                 self.sample_utilization();
             }
@@ -1021,12 +911,8 @@ impl ScenarioWorld<'_> {
                         // Rejections still occupy the controller for the
                         // request parse + availability inspection...
                         let timings = self.spec.system.sdm_timings;
-                        let rack = self.vm_rack(vm);
-                        let admission = self.admit_control(
-                            rack,
-                            now,
-                            timings.request_rpc + timings.availability_check,
-                        );
+                        let admission = self
+                            .admit_control(now, timings.request_rpc + timings.availability_check);
                         // ...and the VM retries once a streaming slot may
                         // have freed, rather than abandoning the rest of
                         // its offload plan (sessions end over time, so the
@@ -1046,9 +932,8 @@ impl ScenarioWorld<'_> {
             } => {
                 // The VM may have departed mid-session, in which case its
                 // release already drained the session.
-                let rack = self.vm_rack(vm);
                 if let Ok(service) = self.system.end_offload(session) {
-                    let admission = self.admit_control(rack, now, service);
+                    let admission = self.admit_control(now, service);
                     self.counters.offloads_completed += 1;
                     if remaining > 1 {
                         if let Some(plan) = self.spec.offload {
@@ -1064,31 +949,16 @@ impl ScenarioWorld<'_> {
                 }
                 self.sample_utilization();
             }
-            ScenarioEvent::PowerSweep { rack } => {
-                // Sweeps batch per rack per tick: each rack's sweep event
-                // covers only its own bricks (on a single-rack system this
-                // is exactly the whole-rack sweep it always was), and the
-                // rack's digest refreshes so cluster routing sees the freed
-                // power headroom immediately.
-                let sweep = self.system.power_off_unused_in(RackId(rack));
+            ScenarioEvent::PowerSweep => {
+                // The sweep refreshes the rack's digest, so the next
+                // published digest shows the freed power headroom.
+                let sweep = self.system.power_off_unused();
                 self.counters.power_sweeps += 1;
                 self.counters.bricks_powered_off += sweep.total_off() as u64;
-                self.cluster_stats.power_off_per_rack[usize::from(rack)] +=
-                    sweep.total_off() as u64;
                 self.sample_utilization();
                 if let Some(every) = self.spec.power_sweep_every {
-                    ctx.schedule(now + every, ScenarioEvent::PowerSweep { rack });
+                    ctx.schedule(now + every, ScenarioEvent::PowerSweep);
                 }
-            }
-            ScenarioEvent::DrainRack { rack } => {
-                let (reports, stranded) = self.system.drain_rack(RackId(rack));
-                self.cluster_stats.racks_drained += 1;
-                self.cluster_stats.drain_stranded += u64::from(stranded);
-                for report in &reports {
-                    self.cluster_stats.cross_rack_migrations += 1;
-                    self.record_migration(now, report);
-                }
-                self.sample_utilization();
             }
             ScenarioEvent::Rebalance => {
                 if let Some(policy) = self.spec.migration {
@@ -1099,7 +969,6 @@ impl ScenarioWorld<'_> {
             }
             ScenarioEvent::Fault { index } => self.handle_fault(now, index, ctx),
             ScenarioEvent::Repair { index } => self.handle_repair(now, index),
-            ScenarioEvent::UpgradeRack { rack } => self.upgrade_rack(now, rack),
             ScenarioEvent::ReadBurst { vm, remaining } => {
                 let Some(dp) = self.data_path.as_mut() else {
                     return;

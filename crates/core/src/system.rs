@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{Bitstream, BrickId, BrickKind, PortId, PowerState, Rack, RackId};
 use dredbox_interconnect::{LatencyBreakdown, PathKind, RemoteMemoryPath};
-use dredbox_memory::{HotplugModel, MemoryError};
+use dredbox_memory::HotplugModel;
 use dredbox_optical::{OpticalCircuitSwitch, OpticalTopology};
 use dredbox_orchestrator::power_mgmt::PowerSweep;
 use dredbox_orchestrator::{
@@ -226,9 +226,9 @@ struct PoweredCounts {
     accel: u32,
 }
 
-/// One federated rack: its physical bricks, optical cabling and SDM
-/// controller. The cluster controller above never reads per-brick state —
-/// only the [`RackDigest`] derived from the domain's own indexes.
+/// The rack: its physical bricks, optical cabling and SDM controller. A
+/// cluster controller never reads per-brick state — only the
+/// [`RackDigest`] derived from the domain's own indexes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct RackDomain {
     rack: Rack,
@@ -262,34 +262,17 @@ impl RackDomain {
     }
 }
 
-/// Where the cluster controller admitted a VM, and what it took to get
-/// there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmissionOutcome {
-    /// Handle of the admitted VM.
-    pub vm: VmHandle,
-    /// The rack that accepted it.
-    pub rack: RackId,
-    /// Racks that rejected the request before this one accepted it
-    /// (inter-rack spillover).
-    pub spillovers: u32,
-    /// Racks skipped at routing time because their provisioned power had
-    /// reached the rack budget.
-    pub power_deferrals: u32,
-}
-
 /// What recovering from one dCOMPUBRICK crash did: every VM the brick
 /// hosted was drained of its offload sessions, then migrated away within
-/// the rack (memory stays resident on its dMEMBRICKs), restarted on
-/// another rack (a full copy), or — when nowhere fits — stranded as an
-/// orphan whose pool segments await [`DredboxSystem::reclaim_orphans`].
+/// the rack (memory stays resident on its dMEMBRICKs) or — when no brick
+/// fits — stranded as an orphan whose pool segments await
+/// [`DredboxSystem::reclaim_orphans`]. Restarting stranded guests on
+/// another rack is the cluster tier's job.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComputeFaultReport {
     /// VMs moved within the rack, memory left resident.
     pub migrated: u32,
-    /// VMs restarted on another rack via cluster spillover.
-    pub restarted: u32,
-    /// VMs lost: no surviving brick anywhere could host them.
+    /// VMs lost: no surviving brick in the rack could host them.
     pub lost: u32,
     /// Offload sessions force-ended because their VM had to move.
     pub sessions_dropped: u32,
@@ -358,17 +341,22 @@ struct SeveredLink {
     switch_port: u16,
 }
 
-/// The assembled dReDBox system: one or more racks federated under a
-/// cluster controller.
+/// The assembled dReDBox system: one rack — bricks, optical network,
+/// software stack and SDM controller — behind one API. A multi-rack
+/// datacenter is several systems under a standalone [`ClusterController`]
+/// that routes on each rack's published digest
+/// ([`DredboxSystem::cluster`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DredboxSystem {
     config: SystemConfig,
-    /// The federated racks, indexed by rack id.
+    /// The rack domain. Always exactly one entry; the vector is the shape
+    /// the snapshot stream stores.
     racks: Vec<RackDomain>,
-    /// The cluster tier: per-rack digests and the routing rank sets.
+    /// Holds the rack's published digest as [`RackId`]\(0\), refreshed
+    /// after every mutating operation.
     cluster: ClusterController,
-    /// Brick-id namespace stride between consecutive racks
-    /// (= bricks per rack), so `rack_of` is a division instead of a map.
+    /// Bricks per rack. Nothing reads it since a system became one rack;
+    /// it stays because the snapshot stream stores it.
     brick_stride: u32,
     /// Active draw per brick kind in milliwatts `[compute, memory, accel]`,
     /// the provisioned-power constants from the catalog.
@@ -400,88 +388,88 @@ pub struct DredboxSystem {
 }
 
 impl DredboxSystem {
-    /// Builds every rack, cables each to its optical switch, boots a
+    /// Builds the rack, cables it to its optical switch, boots a
     /// hypervisor on every dCOMPUBRICK, registers everything with the
-    /// rack's SDM controller and federates the racks under the cluster
-    /// controller.
+    /// rack's SDM controller and publishes the rack's digest.
     ///
     /// # Errors
     ///
-    /// Fails when the configuration asks for zero racks.
+    /// Fails unless the configuration asks for exactly one rack: racks
+    /// federate under a [`ClusterController`], one system per rack.
     pub fn build(config: SystemConfig) -> Result<Self, SystemError> {
-        if config.racks == 0 {
+        if config.racks != 1 {
             return Err(SystemError::InvalidConfig {
-                reason: "a system needs at least one rack".to_owned(),
+                reason: format!(
+                    "a system is exactly one rack (asked for {}); federate racks under a cluster controller",
+                    config.racks
+                ),
             });
         }
         let brick_stride = config.bricks_per_rack().max(1) as u32;
         let mut hypervisors: Vec<Option<Hypervisor>> = Vec::new();
-        let mut racks = Vec::with_capacity(usize::from(config.racks));
-        for rack_index in 0..config.racks {
-            let rack = config.catalog.build_rack_in(
-                RackId(rack_index),
-                BrickId(u32::from(rack_index) * brick_stride),
-                config.trays,
-                config.compute_per_tray,
-                config.memory_per_tray,
-                config.accel_per_tray,
-            );
-            let topology = OpticalTopology::cable_rack(&rack, OpticalCircuitSwitch::polatis_48());
-            let mut sdm = SdmController::new(
-                config.memory_policy,
-                config.placement,
-                config.sdm_timings,
-                config.latency.clone(),
-            );
-            let mut powered = PoweredCounts::default();
-            for brick in rack.bricks() {
-                match brick.kind() {
-                    BrickKind::Compute => {
-                        let compute = brick.as_compute().expect("kind checked");
-                        sdm.register_compute_brick(
-                            compute.id(),
-                            compute.spec().apu_cores,
-                            compute.spec().gth_ports,
-                        );
-                        let os = BaremetalOs::new(
-                            compute.id(),
-                            compute.spec().local_memory,
-                            HotplugModel::dredbox_default(),
-                        );
-                        let slot = compute.id().0 as usize;
-                        if hypervisors.len() <= slot {
-                            hypervisors.resize_with(slot + 1, || None);
-                        }
-                        hypervisors[slot] = Some(Hypervisor::new(os, compute.spec().apu_cores));
-                        powered.compute += 1;
+        let rack = config.catalog.build_rack_in(
+            RackId(0),
+            BrickId(0),
+            config.trays,
+            config.compute_per_tray,
+            config.memory_per_tray,
+            config.accel_per_tray,
+        );
+        let topology = OpticalTopology::cable_rack(&rack, OpticalCircuitSwitch::polatis_48());
+        let mut sdm = SdmController::new(
+            config.memory_policy,
+            config.placement,
+            config.sdm_timings,
+            config.latency.clone(),
+        );
+        let mut powered = PoweredCounts::default();
+        for brick in rack.bricks() {
+            match brick.kind() {
+                BrickKind::Compute => {
+                    let compute = brick.as_compute().expect("kind checked");
+                    sdm.register_compute_brick(
+                        compute.id(),
+                        compute.spec().apu_cores,
+                        compute.spec().gth_ports,
+                    );
+                    let os = BaremetalOs::new(
+                        compute.id(),
+                        compute.spec().local_memory,
+                        HotplugModel::dredbox_default(),
+                    );
+                    let slot = compute.id().0 as usize;
+                    if hypervisors.len() <= slot {
+                        hypervisors.resize_with(slot + 1, || None);
                     }
-                    BrickKind::Memory => {
-                        let memory = brick.as_memory().expect("kind checked");
-                        sdm.register_membrick(memory.id(), memory.capacity());
-                        powered.memory += 1;
-                    }
-                    BrickKind::Accelerator => {
-                        // Accelerators are a scheduled resource class like the
-                        // other bricks: register the PCAP programming bandwidth
-                        // (the reprogram-cost key) and one streaming slot per
-                        // GTH transceiver with the SDM controller.
-                        let accel = brick.as_accelerator().expect("kind checked");
-                        sdm.register_accel_brick(
-                            accel.id(),
-                            accel.spec().pcap_bandwidth,
-                            u32::from(accel.spec().gth_ports),
-                        );
-                        powered.accel += 1;
-                    }
+                    hypervisors[slot] = Some(Hypervisor::new(os, compute.spec().apu_cores));
+                    powered.compute += 1;
+                }
+                BrickKind::Memory => {
+                    let memory = brick.as_memory().expect("kind checked");
+                    sdm.register_membrick(memory.id(), memory.capacity());
+                    powered.memory += 1;
+                }
+                BrickKind::Accelerator => {
+                    // Accelerators are a scheduled resource class like the
+                    // other bricks: register the PCAP programming bandwidth
+                    // (the reprogram-cost key) and one streaming slot per
+                    // GTH transceiver with the SDM controller.
+                    let accel = brick.as_accelerator().expect("kind checked");
+                    sdm.register_accel_brick(
+                        accel.id(),
+                        accel.spec().pcap_bandwidth,
+                        u32::from(accel.spec().gth_ports),
+                    );
+                    powered.accel += 1;
                 }
             }
-            racks.push(RackDomain {
-                rack,
-                topology,
-                sdm,
-                powered,
-            });
         }
+        let racks = vec![RackDomain {
+            rack,
+            topology,
+            sdm,
+            powered,
+        }];
 
         let kind_draw_mw = [
             (config.catalog.compute_spec().power.active().as_watts() * 1e3).round() as u64,
@@ -510,9 +498,7 @@ impl DredboxSystem {
             severed_links: Vec::new(),
             read_path,
         };
-        for idx in 0..system.racks.len() {
-            system.refresh_digest(idx);
-        }
+        system.refresh_digest();
         Ok(system)
     }
 
@@ -521,73 +507,37 @@ impl DredboxSystem {
         &self.config
     }
 
-    /// The physical rack (rack 0 of a multi-rack system — the accessor
-    /// every single-rack call site keeps using unchanged).
+    /// The physical rack.
     pub fn rack(&self) -> &Rack {
         &self.racks[0].rack
     }
 
-    /// The optical topology and circuit manager of rack 0.
+    /// The rack's optical topology and circuit manager.
     pub fn topology(&self) -> &OpticalTopology {
         &self.racks[0].topology
     }
 
-    /// The SDM controller of rack 0.
+    /// The rack's SDM controller.
     pub fn sdm(&self) -> &SdmController {
         &self.racks[0].sdm
     }
 
-    /// The cluster controller federating the racks.
+    /// A cluster controller holding this rack's published digest as
+    /// [`RackId`]\(0\) — what a cluster tier copies into its own
+    /// controller under the rack's global id.
     pub fn cluster(&self) -> &ClusterController {
         &self.cluster
     }
 
-    /// Fleet-level provisioned-power accounting for the TCO study: the
-    /// cluster controller's per-rack draws (read off the capacity digests,
-    /// never the bricks) plus the enforced rack budget, packaged as the
-    /// live-system feed of the Section VI energy argument.
-    pub fn fleet_power(&self) -> dredbox_tco::FleetPower {
-        dredbox_tco::FleetPower::new(
-            self.cluster.provisioned_per_rack(),
-            self.cluster.rack_budget(),
-        )
+    /// Recomputes the rack's digest off its maintained indexes and
+    /// republishes it — the lockstep refresh run after every mutating
+    /// orchestration operation.
+    fn refresh_digest(&mut self) {
+        let digest = self.racks[0].digest(&self.kind_draw_mw);
+        self.cluster.upsert(RackId(0), digest);
     }
 
-    /// Number of federated racks.
-    pub fn rack_count(&self) -> usize {
-        self.racks.len()
-    }
-
-    /// The rack a brick belongs to (a division — brick ids are
-    /// stride-aligned per rack).
-    pub fn rack_of(&self, brick: BrickId) -> RackId {
-        RackId((brick.0 / self.brick_stride) as u16)
-    }
-
-    /// The physical rack with the given id, if any.
-    pub fn rack_at(&self, rack: RackId) -> Option<&Rack> {
-        self.racks.get(usize::from(rack.0)).map(|d| &d.rack)
-    }
-
-    /// The SDM controller of the given rack, if any.
-    pub fn sdm_of(&self, rack: RackId) -> Option<&SdmController> {
-        self.racks.get(usize::from(rack.0)).map(|d| &d.sdm)
-    }
-
-    /// Index of the rack domain owning `brick`.
-    fn rack_index(&self, brick: BrickId) -> usize {
-        (brick.0 / self.brick_stride) as usize
-    }
-
-    /// Recomputes one rack's digest off its maintained indexes and
-    /// republishes it to the cluster controller — the lockstep refresh run
-    /// after every mutating orchestration operation.
-    fn refresh_digest(&mut self, idx: usize) {
-        let digest = self.racks[idx].digest(&self.kind_draw_mw);
-        self.cluster.upsert(RackId(idx as u16), digest);
-    }
-
-    /// Rebuilds one rack's digest from per-brick state (capacity slots,
+    /// Rebuilds the rack's digest from per-brick state (capacity slots,
     /// pool allocators, accelerator slots, physical power states) instead
     /// of the maintained aggregates — the from-scratch reference the
     /// cluster-invariant property tests compare against.
@@ -700,135 +650,25 @@ impl DredboxSystem {
     }
 
     /// Allocates a VM with `vcpus` cores and `memory` of disaggregated
-    /// memory. Returns a handle to the new VM.
+    /// memory: the SDM controller places and reserves, the hypervisor
+    /// boots the guest, and the physical rack mirrors the grant. Returns a
+    /// handle to the new VM.
     ///
     /// # Errors
     ///
     /// Fails when no compute brick has the cores or the pool lacks the
     /// memory.
     pub fn allocate_vm(&mut self, vcpus: u32, memory: ByteSize) -> Result<VmHandle, SystemError> {
-        self.allocate_vm_routed(vcpus, memory).map(|o| o.vm)
-    }
-
-    /// Allocates a VM through the cluster tier: the controller routes the
-    /// request to the best rack off the capacity digests (an `O(log racks)`
-    /// read, never a per-brick scan), and the chosen rack's SDM controller
-    /// places it. When the routed rack rejects — its digest admitted a
-    /// fragmented memory layout the pool cannot actually serve — the
-    /// request spills over to the remaining admitting racks in preference
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Fails when every candidate rack rejects the request.
-    pub fn allocate_vm_routed(
-        &mut self,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<AdmissionOutcome, SystemError> {
-        let route = self.cluster.route(vcpus, memory);
-        // No rack's digest admits the request: the compute screen is exact
-        // and the memory screen necessary, so attempting anyway on the
-        // first schedulable rack reproduces the error a single-rack system
-        // would report (capacity exhausted / pool short) with full
-        // fidelity.
-        let first = match route.rack {
-            Some(rack) => rack,
-            None => (0..self.racks.len())
-                .map(|i| RackId(i as u16))
-                .find(|r| self.cluster.is_schedulable(*r))
-                .ok_or(SystemError::Orchestrator(
-                    OrchestratorError::NoComputeCapacity {
-                        requested_vcpus: vcpus,
-                    },
-                ))?,
-        };
-        let mut outcome = self.allocate_vm_preferring(first, vcpus, memory)?;
-        outcome.power_deferrals += route.power_deferrals;
-        Ok(outcome)
-    }
-
-    /// [`DredboxSystem::allocate_vm_routed`] with the first candidate rack
-    /// pinned — the spillover engine: tries `first`, then every other
-    /// admitting rack in the cluster policy's preference order, counting
-    /// each rejection as one spillover hop.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the last rack's rejection when every candidate rejects.
-    pub fn allocate_vm_preferring(
-        &mut self,
-        first: RackId,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<AdmissionOutcome, SystemError> {
-        let mut spillovers = 0u32;
-        let mut last_err = None;
-        // Typical case: the routed rack accepts and the admission never
-        // materializes the spillover order — the per-decision cost stays
-        // the digest walk, O(log racks), independent of rack count.
-        if usize::from(first.0) < self.racks.len() {
-            match self.try_allocate_on(usize::from(first.0), vcpus, memory) {
-                Ok(vm) => {
-                    return Ok(AdmissionOutcome {
-                        vm,
-                        rack: first,
-                        spillovers,
-                        power_deferrals: 0,
-                    });
-                }
-                Err(e) => {
-                    spillovers += 1;
-                    last_err = Some(e);
-                }
-            }
-        }
-        // The routed rack refused (its digest admitted a fragmented layout
-        // the pool could not serve): only now compute the spillover order.
-        // A failed attempt refreshes no digest but the attempted rack's,
-        // and the order excludes that rack, so the sequence is identical
-        // to a fully materialized candidate list.
-        for rack in self.cluster.spillover_order(vcpus, memory, Some(first)) {
-            match self.try_allocate_on(usize::from(rack.0), vcpus, memory) {
-                Ok(vm) => {
-                    return Ok(AdmissionOutcome {
-                        vm,
-                        rack,
-                        spillovers,
-                        power_deferrals: 0,
-                    });
-                }
-                Err(e) => {
-                    spillovers += 1;
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or(SystemError::Orchestrator(
-            OrchestratorError::NoComputeCapacity {
-                requested_vcpus: vcpus,
-            },
-        )))
-    }
-
-    /// One rack-local admission attempt: the rack's SDM controller places
-    /// and reserves, the hypervisor boots the guest, and the physical rack
-    /// mirrors the grant. Rejections roll everything back; both outcomes
-    /// republish the rack's digest (a rejected placement can still have
-    /// woken a brick's availability flag).
-    fn try_allocate_on(
-        &mut self,
-        idx: usize,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<VmHandle, SystemError> {
-        let (brick, grant) = match self.racks[idx]
+        // Rejections roll everything back; both outcomes republish the
+        // digest (a rejected placement can still have woken a brick's
+        // availability flag).
+        let (brick, grant) = match self.racks[0]
             .sdm
             .allocate_vm(VmAllocationRequest::new(vcpus, memory))
         {
             Ok(placed) => placed,
             Err(e) => {
-                self.refresh_digest(idx);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
@@ -840,9 +680,9 @@ impl DredboxSystem {
             // The SDM only places on registered bricks, so this divergence
             // is only reachable through fault injection; roll the
             // reservation back instead of crashing the control plane.
-            let _ = self.racks[idx].sdm.release_scale_up(&grant);
-            let _ = self.racks[idx].sdm.release_vm(brick, vcpus);
-            self.refresh_digest(idx);
+            let _ = self.racks[0].sdm.release_scale_up(&grant);
+            let _ = self.racks[0].sdm.release_vm(brick, vcpus);
+            self.refresh_digest();
             return Err(SystemError::MissingHypervisor { brick });
         };
         // The grant's memory becomes visible to the baremetal OS, then the
@@ -852,17 +692,17 @@ impl DredboxSystem {
             Ok(v) => v,
             Err(e) => {
                 let _ = hv.os_mut().offline_remote(grant.grant.total());
-                let _ = self.racks[idx].sdm.release_scale_up(&grant);
+                let _ = self.racks[0].sdm.release_scale_up(&grant);
                 // The SDM controller already committed the cores for this
                 // VM; hand them back too or the brick's capacity shrinks
                 // forever.
-                let _ = self.racks[idx].sdm.release_vm(brick, vcpus);
-                self.refresh_digest(idx);
+                let _ = self.racks[0].sdm.release_vm(brick, vcpus);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
-        self.apply_grant_to_rack(idx, brick, &grant);
-        self.racks[idx]
+        self.apply_grant_to_rack(brick, &grant);
+        self.racks[0]
             .rack
             .brick_mut(brick)
             .and_then(|b| b.as_compute_mut())
@@ -880,7 +720,7 @@ impl DredboxSystem {
             grants: vec![grant],
             offloads: Vec::new(),
         });
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(VmHandle(key.to_u64()))
     }
 
@@ -899,14 +739,13 @@ impl DredboxSystem {
             Some(r) => (r.brick, r.vm),
             None => return Err(SystemError::NoSuchVm { handle }),
         };
-        let idx = self.rack_index(brick);
-        let grant = match self.racks[idx]
+        let grant = match self.racks[0]
             .sdm
             .handle_scale_up(ScaleUpDemand::new(brick, amount))
         {
             Ok(g) => g,
             Err(e) => {
-                self.refresh_digest(idx);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
@@ -915,20 +754,20 @@ impl DredboxSystem {
             .get_mut(brick.0 as usize)
             .and_then(|h| h.as_mut())
         else {
-            let _ = self.racks[idx].sdm.release_scale_up(&grant);
-            self.refresh_digest(idx);
+            let _ = self.racks[0].sdm.release_scale_up(&grant);
+            self.refresh_digest();
             return Err(SystemError::MissingHypervisor { brick });
         };
         let outcome = match self.scaleup.apply_grant(hv, vm, amount) {
             Ok(o) => o,
             Err(e) => {
-                let _ = self.racks[idx].sdm.release_scale_up(&grant);
-                self.refresh_digest(idx);
+                let _ = self.racks[0].sdm.release_scale_up(&grant);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
-        self.apply_grant_to_rack(idx, brick, &grant);
-        self.refresh_digest(idx);
+        self.apply_grant_to_rack(brick, &grant);
+        self.refresh_digest();
 
         let report = ScaleUpReport {
             vm: handle,
@@ -961,7 +800,6 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
         let (brick, vm) = (record.brick, record.vm);
-        let idx = self.rack_index(brick);
         // Find the most recent grant that matches the requested amount.
         let Some(pos) = record
             .grants
@@ -1004,7 +842,7 @@ impl DredboxSystem {
                 return Err(e.into());
             }
         };
-        let orch = match self.racks[idx].sdm.release_scale_up(&grant) {
+        let orch = match self.racks[0].sdm.release_scale_up(&grant) {
             Ok(o) => o,
             Err(e) => {
                 self.vms
@@ -1012,12 +850,12 @@ impl DredboxSystem {
                     .expect("checked above")
                     .grants
                     .insert(pos, grant);
-                self.refresh_digest(idx);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
-        self.remove_grant_from_rack(idx, brick, &grant);
-        self.refresh_digest(idx);
+        self.remove_grant_from_rack(brick, &grant);
+        self.refresh_digest();
 
         Ok(ScaleUpReport {
             vm: handle,
@@ -1059,15 +897,6 @@ impl DredboxSystem {
                 OrchestratorError::InvalidMigration { from, to },
             ));
         }
-        // This is the intra-rack path: memory stays resident only while
-        // source and destination share the rack's optical fabric. Cross-rack
-        // moves go through [`DredboxSystem::migrate_vm_cross_rack`].
-        if self.rack_of(from) != self.rack_of(to) {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::InvalidMigration { from, to },
-            ));
-        }
-        let idx = self.rack_index(from);
         let guest_memory = self
             .hypervisor(from)
             .and_then(|hv| hv.vm(vm_id))
@@ -1094,10 +923,10 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .expect("checked above")
             .grants;
-        let outcome = match self.racks[idx].sdm.migrate_vm(from, to, vcpus, grants_ref) {
+        let outcome = match self.racks[0].sdm.migrate_vm(from, to, vcpus, grants_ref) {
             Ok(o) => o,
             Err(e) => {
-                self.refresh_digest(idx);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
@@ -1141,7 +970,7 @@ impl DredboxSystem {
 
         // Rack-level bookkeeping: cores and remote attachments follow the
         // VM; the dMEMBRICK exports are re-pointed at the new consumer.
-        let domain = &mut self.racks[idx];
+        let domain = &mut self.racks[0];
         if let Some(c) = domain.rack.brick_mut(from).and_then(|b| b.as_compute_mut()) {
             let _ = c.detach_remote_memory(preserved);
             let _ = c.release_cores(vcpus);
@@ -1174,7 +1003,7 @@ impl DredboxSystem {
         rec.vm = new_vm;
         rec.grants = outcome.rebased;
 
-        self.refresh_digest(idx);
+        self.refresh_digest();
         let local_state = self.config.migration.local_state(vcpus);
         let downtime =
             self.config.migration.disaggregated_migration(local_state) + outcome.service_time;
@@ -1182,227 +1011,14 @@ impl DredboxSystem {
             vm: handle,
             from,
             to,
-            from_rack: RackId(idx as u16),
-            to_rack: RackId(idx as u16),
+            from_rack: RackId(0),
+            to_rack: RackId(0),
             moved_local_state: local_state,
             preserved_memory: preserved,
             orchestration_delay: outcome.service_time,
             downtime,
             conventional_precopy: self.config.migration.conventional_migration(guest_memory),
         })
-    }
-
-    /// Migrates a VM wholesale to another rack: the destination rack's SDM
-    /// controller places it fresh (cores and new memory segments from the
-    /// destination pool), the hypervisors hand the guest over, and the
-    /// source rack releases everything. Unlike the intra-rack path there is
-    /// no shared optical fabric between racks, so **no memory stays
-    /// resident**: the guest's whole footprint crosses the inter-rack link,
-    /// and the downtime is the conventional full-copy cost plus the two
-    /// control planes' orchestration — the honest physics of leaving the
-    /// rack, and the price [`DredboxSystem::drain_rack`] pays per VM.
-    ///
-    /// # Errors
-    ///
-    /// Fails without mutating any state if the handle is unknown or pinned
-    /// by offload sessions, the rack is unknown or the VM's own, or the
-    /// destination rack cannot host the VM.
-    pub fn migrate_vm_cross_rack(
-        &mut self,
-        handle: VmHandle,
-        to_rack: RackId,
-    ) -> Result<MigrationReport, SystemError> {
-        let record = self
-            .vms
-            .get(handle_key(handle))
-            .ok_or(SystemError::NoSuchVm { handle })?;
-        let (from, vm_id, vcpus) = (record.brick, record.vm, record.vcpus);
-        let from_rack = self.rack_of(from);
-        let dst = usize::from(to_rack.0);
-        if !record.offloads.is_empty() || dst >= self.racks.len() || to_rack == from_rack {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::InvalidMigration { from, to: from },
-            ));
-        }
-        let src = usize::from(from_rack.0);
-        let guest_memory = self
-            .hypervisor(from)
-            .and_then(|hv| hv.vm(vm_id))
-            .map(|vm| vm.current_memory())
-            .ok_or(SystemError::NoSuchVm { handle })?;
-
-        // Destination control plane: place the VM as a fresh admission.
-        // Rejections leave both racks untouched (modulo a republished,
-        // identical digest).
-        let (to, grant) = match self.racks[dst]
-            .sdm
-            .allocate_vm(VmAllocationRequest::new(vcpus, guest_memory))
-        {
-            Ok(placed) => placed,
-            Err(e) => {
-                self.refresh_digest(dst);
-                return Err(e.into());
-            }
-        };
-        // Validate the destination hypervisor before any hand-over, rolling
-        // the destination reservation back if the guest will not fit.
-        let fits = self
-            .hypervisor(to)
-            .is_some_and(|hv| vcpus <= hv.free_cores());
-        if !fits {
-            let _ = self.racks[dst].sdm.release_scale_up(&grant);
-            let _ = self.racks[dst].sdm.release_vm(to, vcpus);
-            self.refresh_digest(dst);
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::NoComputeCapacity {
-                    requested_vcpus: vcpus,
-                },
-            ));
-        }
-
-        // From here on nothing fails. Softstack hand-over: online the new
-        // grant on the destination, evict the guest, retire the source's
-        // remote view, adopt on the destination.
-        let old_grants = std::mem::take(
-            &mut self
-                .vms
-                .get_mut(handle_key(handle))
-                .expect("checked above")
-                .grants,
-        );
-        let old_total: ByteSize = old_grants.iter().map(|g| g.grant.total()).sum();
-        self.hypervisors
-            .get_mut(to.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("validated above")
-            .os_mut()
-            .online_remote(grant.grant.total());
-        let src_hv = self
-            .hypervisors
-            .get_mut(from.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("record refers to a registered brick");
-        let guest = src_hv
-            .evict_vm(vm_id)
-            .expect("record refers to a live VM (checked above)");
-        let _ = src_hv.os_mut().offline_remote(old_total);
-        let new_vm = self
-            .hypervisors
-            .get_mut(to.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("validated above")
-            .adopt_vm(guest)
-            .expect("destination capacity validated above");
-
-        // Source rack: release every grant and the cores, exactly as a
-        // departure would.
-        for g in &old_grants {
-            let _ = self.racks[src].sdm.release_scale_up(g);
-            self.remove_grant_from_rack(src, from, g);
-        }
-        let _ = self.racks[src].sdm.release_vm(from, vcpus);
-        if let Some(c) = self.racks[src]
-            .rack
-            .brick_mut(from)
-            .and_then(|b| b.as_compute_mut())
-        {
-            let _ = c.release_cores(vcpus);
-        }
-
-        // Destination rack: mirror the fresh grant on the physical bricks.
-        let orchestration = grant.service_time;
-        self.apply_grant_to_rack(dst, to, &grant);
-        self.racks[dst]
-            .rack
-            .brick_mut(to)
-            .and_then(|b| b.as_compute_mut())
-            .map(|c| c.allocate_cores(vcpus))
-            .transpose()
-            .ok();
-
-        let rec = self.vms.get_mut(handle_key(handle)).expect("checked above");
-        rec.brick = to;
-        rec.vm = new_vm;
-        rec.grants = vec![grant];
-
-        self.refresh_digest(src);
-        self.refresh_digest(dst);
-
-        let local_state = self.config.migration.local_state(vcpus);
-        let full_copy = self.config.migration.conventional_migration(guest_memory);
-        Ok(MigrationReport {
-            vm: handle,
-            from,
-            to,
-            from_rack,
-            to_rack,
-            moved_local_state: local_state,
-            // Nothing stays resident across racks: the guest's memory is
-            // re-allocated on the destination pool and copied over.
-            preserved_memory: ByteSize::ZERO,
-            orchestration_delay: orchestration,
-            downtime: full_copy + orchestration,
-            conventional_precopy: full_copy,
-        })
-    }
-
-    /// Drains a rack for maintenance: marks it unschedulable (the router
-    /// stops sending admissions) and evacuates its VMs cross-rack in
-    /// admission order, each to the best other rack by the current digests.
-    /// Returns the per-VM migration reports and the number of VMs left
-    /// stranded because no other rack could host them. The rack stays
-    /// unschedulable afterwards; flip it back with
-    /// [`DredboxSystem::set_rack_schedulable`].
-    pub fn drain_rack(&mut self, rack: RackId) -> (Vec<MigrationReport>, u32) {
-        self.cluster.set_schedulable(rack, false);
-        let mut reports = Vec::new();
-        let mut stranded = 0u32;
-        for handle in self.vms_on_rack(rack) {
-            let Some(record) = self.vms.get(handle_key(handle)) else {
-                continue;
-            };
-            let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
-            let vcpus = record.vcpus;
-            let Some(dest) = self
-                .cluster
-                .spillover_order(vcpus, memory, Some(rack))
-                .into_iter()
-                .next()
-            else {
-                stranded += 1;
-                continue;
-            };
-            match self.migrate_vm_cross_rack(handle, dest) {
-                Ok(report) => reports.push(report),
-                Err(_) => stranded += 1,
-            }
-        }
-        (reports, stranded)
-    }
-
-    /// VMs currently hosted anywhere on a rack, in admission order.
-    pub fn vms_on_rack(&self, rack: RackId) -> Vec<VmHandle> {
-        let mut out: Vec<(u64, VmHandle)> = self
-            .vms
-            .iter()
-            .filter(|(_, r)| self.rack_of(r.brick) == rack)
-            .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
-            .collect();
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, h)| h).collect()
-    }
-
-    /// Marks a rack schedulable or not for cluster-level admission routing.
-    pub fn set_rack_schedulable(&mut self, rack: RackId, schedulable: bool) {
-        self.cluster.set_schedulable(rack, schedulable);
-    }
-
-    /// Readmits a drained rack into admission routing — the closing step of
-    /// a rolling upgrade. Returns `true` iff the rack is federated and was
-    /// actually drained; undraining an unknown or never-drained rack is a
-    /// bit-identical no-op returning `false`.
-    pub fn undrain_rack(&mut self, rack: RackId) -> bool {
-        self.cluster.undrain_rack(rack)
     }
 
     /// Begins a near-data offload session for a VM: the SDM controller
@@ -1432,17 +1048,16 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
         let (brick, vm) = (record.brick, record.vm);
-        let idx = self.rack_index(brick);
 
         let bitstream = Bitstream::new(demand.kernel.clone(), demand.bitstream);
-        let grant = match self.racks[idx].sdm.begin_offload(OffloadRequest::new(
+        let grant = match self.racks[0].sdm.begin_offload(OffloadRequest::new(
             brick,
             bitstream.clone(),
             demand.input,
         )) {
             Ok(g) => g,
             Err(e) => {
-                self.refresh_digest(idx);
+                self.refresh_digest();
                 return Err(e.into());
             }
         };
@@ -1457,13 +1072,13 @@ impl DredboxSystem {
         match issued {
             Some(Ok(_)) => {}
             Some(Err(e)) => {
-                let _ = self.racks[idx].sdm.end_offload(grant.session.id);
-                self.refresh_digest(idx);
+                let _ = self.racks[0].sdm.end_offload(grant.session.id);
+                self.refresh_digest();
                 return Err(e.into());
             }
             None => {
-                let _ = self.racks[idx].sdm.end_offload(grant.session.id);
-                self.refresh_digest(idx);
+                let _ = self.racks[0].sdm.end_offload(grant.session.id);
+                self.refresh_digest();
                 return Err(SystemError::MissingHypervisor { brick });
             }
         }
@@ -1472,7 +1087,7 @@ impl DredboxSystem {
         // wake it, (re)program the slot if the controller did, start the
         // session stream.
         let accel_brick = grant.session.accel_brick;
-        let domain = &mut self.racks[idx];
+        let domain = &mut self.racks[0];
         let accel = domain
             .rack
             .brick_mut(accel_brick)
@@ -1518,14 +1133,14 @@ impl DredboxSystem {
             .offloads
             .push(session);
         self.offload_owners.insert(session, handle);
-        self.refresh_digest(idx);
+        self.refresh_digest();
 
         Ok(OffloadReport {
             vm: handle,
             session,
             compute_brick: brick,
             accel_brick,
-            rack: RackId(idx as u16),
+            rack: RackId(0),
             kernel: demand.kernel.clone(),
             input: demand.input,
             reused_bitstream: grant.reused_bitstream,
@@ -1553,11 +1168,7 @@ impl DredboxSystem {
             .ok_or(SystemError::Orchestrator(
                 OrchestratorError::NoSuchOffloadSession { session },
             ))?;
-        let Some(idx) = self
-            .vms
-            .get(handle_key(owner))
-            .map(|r| self.rack_index(r.brick))
-        else {
+        if self.vms.get(handle_key(owner)).is_none() {
             // The owner map outlived its VM record (a crash tore the record
             // down without draining): repair the map, report the session
             // gone.
@@ -1565,13 +1176,13 @@ impl DredboxSystem {
             return Err(SystemError::Orchestrator(
                 OrchestratorError::NoSuchOffloadSession { session },
             ));
-        };
-        let release = self.racks[idx].sdm.end_offload(session)?;
+        }
+        let release = self.racks[0].sdm.end_offload(session)?;
         self.offload_owners.remove(&session);
         if let Some(record) = self.vms.get_mut(handle_key(owner)) {
             record.offloads.retain(|s| *s != session);
         }
-        if let Some(accel) = self.racks[idx]
+        if let Some(accel) = self.racks[0]
             .rack
             .brick_mut(release.session.accel_brick)
             .and_then(|b| b.as_accelerator_mut())
@@ -1580,7 +1191,7 @@ impl DredboxSystem {
                 .end_session()
                 .expect("rack sessions mirror controller sessions");
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(release.service_time)
     }
 
@@ -1601,24 +1212,31 @@ impl DredboxSystem {
     /// offload session, in `[0, 1]`. Zero when the rack has no
     /// accelerators.
     pub fn accel_utilization(&self) -> f64 {
-        let total: usize = self.racks.iter().map(|d| d.sdm.accel_brick_count()).sum();
+        let sdm = &self.racks[0].sdm;
+        let total = sdm.accel_brick_count();
         if total == 0 {
             return 0.0;
         }
-        let idle: usize = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.idle_accel_bricks().count())
-            .sum();
+        let idle = sdm.idle_accel_bricks().count();
         (total - idle) as f64 / total as f64
     }
 
     /// VMs currently hosted on a compute brick, in admission order.
     pub fn vms_on(&self, brick: BrickId) -> Vec<VmHandle> {
+        self.vms_where(|r| r.brick == brick)
+    }
+
+    /// Every live VM, in admission order.
+    pub fn live_vms(&self) -> Vec<VmHandle> {
+        self.vms_where(|_| true)
+    }
+
+    /// Live VMs whose record passes `keep`, in admission order.
+    fn vms_where(&self, keep: impl Fn(&VmRecord) -> bool) -> Vec<VmHandle> {
         let mut out: Vec<(u64, VmHandle)> = self
             .vms
             .iter()
-            .filter(|(_, r)| r.brick == brick)
+            .filter(|(_, r)| keep(r))
             .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
             .collect();
         out.sort_unstable_by_key(|(seq, _)| *seq);
@@ -1631,7 +1249,7 @@ impl DredboxSystem {
     /// `None` when no such brick exists (the VM is already well placed).
     pub fn consolidation_target(&self, handle: VmHandle) -> Option<BrickId> {
         let record = self.vms.get(handle_key(handle))?;
-        let sdm = &self.racks.get(self.rack_index(record.brick))?.sdm;
+        let sdm = &self.racks[0].sdm;
         let src = sdm.capacity().slot(record.brick)?;
         let to = sdm.consolidation_target(record.vcpus, record.brick)?;
         let dst = sdm.capacity().slot(to)?;
@@ -1654,8 +1272,7 @@ impl DredboxSystem {
     /// that fits it, waking a sleeping brick as a last resort.
     pub fn evacuation_target(&self, handle: VmHandle) -> Option<BrickId> {
         let record = self.vms.get(handle_key(handle))?;
-        self.racks
-            .get(self.rack_index(record.brick))?
+        self.racks[0]
             .sdm
             .evacuation_target(record.vcpus, record.brick)
     }
@@ -1664,11 +1281,10 @@ impl DredboxSystem {
     /// `spare_below` while still hosting at least one VM — the
     /// consolidation sources — ascending by id.
     pub fn sparse_bricks(&self, spare_below: f64) -> Vec<BrickId> {
-        // Domains concatenate in rack order and each rack's views ascend by
-        // id, so the result stays globally ascending.
-        self.racks
-            .iter()
-            .flat_map(|d| d.sdm.capacity().views())
+        self.racks[0]
+            .sdm
+            .capacity()
+            .views()
             .filter(|v| {
                 v.active
                     && v.total_cores > 0
@@ -1687,7 +1303,7 @@ impl DredboxSystem {
         // strict `>` on the cross-multiplied fractions keeps the lowest id
         // on ties (views ascend by id).
         let mut best: Option<(BrickId, u64, u64)> = None;
-        for v in self.racks.iter().flat_map(|d| d.sdm.capacity().views()) {
+        for v in self.racks[0].sdm.capacity().views() {
             if !v.active || !v.powered_on || v.total_cores == 0 {
                 continue;
             }
@@ -1716,13 +1332,12 @@ impl DredboxSystem {
             .vms
             .remove(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
-        let idx = self.rack_index(record.brick);
         // Drain the VM's live offload sessions so the accelerators, ledger
         // holds and circuits don't leak when a guest departs mid-session.
         for session in &record.offloads {
-            if let Ok(release) = self.racks[idx].sdm.end_offload(*session) {
+            if let Ok(release) = self.racks[0].sdm.end_offload(*session) {
                 self.offload_owners.remove(session);
-                if let Some(accel) = self.racks[idx]
+                if let Some(accel) = self.racks[0]
                     .rack
                     .brick_mut(release.session.accel_brick)
                     .and_then(|b| b.as_accelerator_mut())
@@ -1744,20 +1359,20 @@ impl DredboxSystem {
             }
         }
         for grant in &record.grants {
-            let _ = self.racks[idx].sdm.release_scale_up(grant);
-            self.remove_grant_from_rack(idx, record.brick, grant);
+            let _ = self.racks[0].sdm.release_scale_up(grant);
+            self.remove_grant_from_rack(record.brick, grant);
         }
         // Return the cores to the SDM controller's availability view, so the
         // brick can host future arrivals.
-        let _ = self.racks[idx].sdm.release_vm(record.brick, record.vcpus);
-        if let Some(compute) = self.racks[idx]
+        let _ = self.racks[0].sdm.release_vm(record.brick, record.vcpus);
+        if let Some(compute) = self.racks[0]
             .rack
             .brick_mut(record.brick)
             .and_then(|b| b.as_compute_mut())
         {
             let _ = compute.release_cores(record.vcpus);
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(())
     }
 
@@ -1774,7 +1389,7 @@ impl DredboxSystem {
         let record = self.vms.get(handle_key(handle))?;
         let membrick = record.grants.first()?.grant.segments().first()?.membrick;
         Some(ReadRoute {
-            rack: self.rack_of(record.brick),
+            rack: RackId(0),
             compute: record.brick,
             membrick,
         })
@@ -1783,82 +1398,32 @@ impl DredboxSystem {
     /// Fraction of the disaggregated memory pool currently allocated, in
     /// `[0, 1]`. Zero when the pool has no capacity.
     pub fn pool_utilization(&self) -> f64 {
-        let capacity: u64 = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.pool().total_capacity().as_bytes())
-            .sum();
+        let pool = self.racks[0].sdm.pool();
+        let capacity = pool.total_capacity().as_bytes();
         if capacity == 0 {
             return 0.0;
         }
-        let allocated: u64 = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.pool().total_allocated().as_bytes())
-            .sum();
-        allocated as f64 / capacity as f64
+        pool.total_allocated().as_bytes() as f64 / capacity as f64
     }
 
-    /// Total bytes currently allocated from the disaggregated pool across
-    /// every rack — the conservation quantity a rolling upgrade must not
-    /// lose a byte of.
+    /// Total bytes currently allocated from the disaggregated pool — the
+    /// conservation quantity a rolling upgrade must not lose a byte of.
     pub fn pool_allocated(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.racks
-                .iter()
-                .map(|d| d.sdm.pool().total_allocated().as_bytes())
-                .sum(),
-        )
+        self.racks[0].sdm.pool().total_allocated()
     }
 
     /// Powers off every brick that currently holds no allocation, and syncs
     /// the SDM controller's availability view so placement treats the swept
     /// bricks as sleeping (waking them only as a last resort).
     pub fn power_off_unused(&mut self) -> PowerSweep {
-        self.power_off_unused_where(|_| true)
-    }
-
-    /// [`DredboxSystem::power_off_unused`] restricted to the bricks
-    /// `filter` selects — the per-shard variant: when sweeps are batched
-    /// per event-engine shard, each shard sweeps (and syncs) only its own
-    /// bricks, and the identity filter recovers the whole-rack sweep.
-    pub fn power_off_unused_where(
-        &mut self,
-        mut filter: impl FnMut(BrickId) -> bool,
-    ) -> PowerSweep {
-        let mut total = PowerSweep::default();
-        for idx in 0..self.racks.len() {
-            let sweep = self.sweep_domain(idx, &mut filter);
-            total.compute_off += sweep.compute_off;
-            total.memory_off += sweep.memory_off;
-            total.accelerator_off += sweep.accelerator_off;
-        }
-        total
-    }
-
-    /// Power sweep of a single rack with the identity filter — what the
-    /// scenario engine runs per `PowerSweep { rack }` event, so each rack's
-    /// sweep is its own control-plane operation regardless of sharding.
-    pub fn power_off_unused_in(&mut self, rack: RackId) -> PowerSweep {
-        let idx = usize::from(rack.0);
-        if idx >= self.racks.len() {
-            return PowerSweep::default();
-        }
-        self.sweep_domain(idx, &mut |_| true)
-    }
-
-    /// One rack's tracked sweep: power off its unused bricks, sync the
-    /// rack's SDM availability views, debit the powered ledger and
-    /// republish the digest.
-    fn sweep_domain(&mut self, idx: usize, filter: &mut impl FnMut(BrickId) -> bool) -> PowerSweep {
         // The sweep is the only path that powers bricks off, so syncing the
         // controller for just this sweep's newly-off bricks keeps its
         // availability view exact without re-walking every already-off brick
         // on each sweep of a long replay.
-        let domain = &mut self.racks[idx];
+        let domain = &mut self.racks[0];
         let (sweep, newly_off) = self
             .power
-            .power_off_unused_tracked(&mut domain.rack, &mut *filter);
+            .power_off_unused_tracked(&mut domain.rack, |_| true);
         domain.powered.compute -= newly_off.compute.len() as u32;
         domain.powered.memory -= newly_off.memory.len() as u32;
         domain.powered.accel -= newly_off.accelerator.len() as u32;
@@ -1872,31 +1437,23 @@ impl DredboxSystem {
         for brick in newly_off.accelerator {
             let _ = domain.sdm.set_accel_power(brick, false);
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         sweep
     }
 
-    /// Current electrical draw across every rack's bricks.
+    /// Current electrical draw of the rack's bricks.
     pub fn rack_power(&self) -> Watts {
-        self.racks
-            .iter()
-            .map(|d| self.power.rack_power(&d.rack))
-            .sum()
+        self.power.rack_power(&self.racks[0].rack)
     }
 
-    /// Fraction of bricks of `kind` that are currently unused, across all
-    /// racks.
+    /// Fraction of bricks of `kind` that are currently unused.
     pub fn unused_fraction(&self, kind: BrickKind) -> f64 {
-        let total: usize = self.racks.iter().map(|d| d.rack.brick_count(kind)).sum();
+        let rack = &self.racks[0].rack;
+        let total = rack.brick_count(kind);
         if total == 0 {
             return 0.0;
         }
-        let unused: usize = self
-            .racks
-            .iter()
-            .map(|d| d.rack.unused_brick_count(kind))
-            .sum();
-        unused as f64 / total as f64
+        rack.unused_brick_count(kind) as f64 / total as f64
     }
 
     // ------------------------------------------------------------------
@@ -1907,10 +1464,9 @@ impl DredboxSystem {
     /// hosted, in admission order: force-end the VM's offload sessions
     /// (their circuits reference the dead brick), then try an intra-rack
     /// migration (memory stays resident on the dMEMBRICKs — the
-    /// disaggregation dividend under failure), then a cross-rack restart
-    /// via cluster spillover (a full copy), and only when nothing anywhere
-    /// fits, strand the VM: its guest dies with the brick and its pool
-    /// segments stay committed as orphans until
+    /// disaggregation dividend under failure), and only when no brick in
+    /// the rack fits, strand the VM: its guest dies with the brick and its
+    /// pool segments stay committed as orphans until
     /// [`DredboxSystem::reclaim_orphans`].
     ///
     /// The physical brick's power state is untouched — a crashed brick
@@ -1925,14 +1481,8 @@ impl DredboxSystem {
         &mut self,
         brick: BrickId,
     ) -> Result<ComputeFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownComputeBrick { brick },
-            ));
-        }
-        let newly = self.racks[idx].sdm.fail_compute_brick(brick)?;
-        self.refresh_digest(idx);
+        let newly = self.racks[0].sdm.fail_compute_brick(brick)?;
+        self.refresh_digest();
         let mut report = ComputeFaultReport::default();
         if !newly {
             return Ok(report);
@@ -1950,31 +1500,10 @@ impl DredboxSystem {
                     continue;
                 }
             }
-            let vcpus = self
-                .vms
-                .get(handle_key(handle))
-                .map(|r| r.vcpus)
-                .unwrap_or(0);
-            let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
-            let mut moved = false;
-            for dest in self
-                .cluster
-                .spillover_order(vcpus, memory, Some(RackId(idx as u16)))
-            {
-                if let Ok(m) = self.migrate_vm_cross_rack(handle, dest) {
-                    report.restarted += 1;
-                    report.reports.push(m);
-                    moved = true;
-                    break;
-                }
-            }
-            if moved {
-                continue;
-            }
             report.lost += 1;
             report.orphaned += self.strand_vm(handle);
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(report)
     }
 
@@ -1988,23 +1517,17 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dCOMPUBRICK.
     pub fn repair_compute_brick(&mut self, brick: BrickId) -> Result<bool, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownComputeBrick { brick },
-            ));
-        }
-        let repaired = self.racks[idx].sdm.repair_compute_brick(brick)?;
+        let repaired = self.racks[0].sdm.repair_compute_brick(brick)?;
         if repaired {
-            let off = self.racks[idx]
+            let off = self.racks[0]
                 .rack
                 .brick(brick)
                 .and_then(|b| b.as_compute())
                 .is_some_and(|c| c.power_state() == PowerState::Off);
             if off {
-                let _ = self.racks[idx].sdm.set_compute_power(brick, false);
+                let _ = self.racks[0].sdm.set_compute_power(brick, false);
             }
-            self.refresh_digest(idx);
+            self.refresh_digest();
         }
         Ok(repaired)
     }
@@ -2012,41 +1535,29 @@ impl DredboxSystem {
     /// Crashes a dMEMBRICK: every segment it hosted is lost, so every VM
     /// whose grants touched one is killed (its guest state referenced the
     /// lost bytes) and re-admitted with the footprint it had, carved fresh
-    /// from the surviving pool — anywhere in the cluster. VMs that no
-    /// surviving capacity can re-admit are lost. Failing an already-failed
+    /// from the rack's surviving pool. VMs that no surviving capacity can
+    /// re-admit are lost. Failing an already-failed
     /// brick is a no-op returning an empty report.
     ///
     /// # Errors
     ///
     /// Fails if the brick is not a registered dMEMBRICK.
     pub fn fail_membrick(&mut self, brick: BrickId) -> Result<MemoryFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(OrchestratorError::Memory(
-                MemoryError::UnknownMemBrick { brick },
-            )));
-        }
-        if self.racks[idx].sdm.pool().is_membrick_failed(brick) {
+        if self.racks[0].sdm.pool().is_membrick_failed(brick) {
             return Ok(MemoryFaultReport::default());
         }
-        let lost = self.racks[idx].sdm.fail_membrick(brick)?;
+        let lost = self.racks[0].sdm.fail_membrick(brick)?;
         let lost_ids: BTreeSet<_> = lost.iter().map(|s| s.id).collect();
         let mut report = MemoryFaultReport {
             lost_bytes: lost.iter().map(|s| s.size).sum(),
             ..MemoryFaultReport::default()
         };
-        let mut affected: Vec<(u64, VmHandle)> = self
-            .vms
-            .iter()
-            .filter(|(_, r)| {
-                r.grants
-                    .iter()
-                    .any(|g| g.grant.segments().iter().any(|s| lost_ids.contains(&s.id)))
-            })
-            .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
-            .collect();
-        affected.sort_unstable_by_key(|(seq, _)| *seq);
-        for (_, handle) in affected {
+        let affected = self.vms_where(|r| {
+            r.grants
+                .iter()
+                .any(|g| g.grant.segments().iter().any(|s| lost_ids.contains(&s.id)))
+        });
+        for handle in affected {
             for session in self.vm_offloads(handle) {
                 if self.end_offload(session).is_ok() {
                     report.sessions_dropped += 1;
@@ -2055,7 +1566,6 @@ impl DredboxSystem {
             let Some(record) = self.vms.remove(handle_key(handle)) else {
                 continue;
             };
-            let vidx = self.rack_index(record.brick);
             let memory = self
                 .hypervisor(record.brick)
                 .and_then(|hv| hv.vm(record.vm))
@@ -2074,24 +1584,24 @@ impl DredboxSystem {
             // Surviving segments release normally; the dead brick's are
             // tolerated (and counted) by the lossy release.
             for grant in &record.grants {
-                let _ = self.racks[vidx].sdm.release_scale_up_lossy(grant);
-                self.remove_grant_from_rack(vidx, record.brick, grant);
+                let _ = self.racks[0].sdm.release_scale_up_lossy(grant);
+                self.remove_grant_from_rack(record.brick, grant);
             }
-            let _ = self.racks[vidx].sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self.racks[vidx]
+            let _ = self.racks[0].sdm.release_vm(record.brick, record.vcpus);
+            if let Some(c) = self.racks[0]
                 .rack
                 .brick_mut(record.brick)
                 .and_then(|b| b.as_compute_mut())
             {
                 let _ = c.release_cores(record.vcpus);
             }
-            self.refresh_digest(vidx);
-            match self.allocate_vm_routed(record.vcpus, memory) {
-                Ok(outcome) => report.restarted.push((handle, outcome.vm)),
+            self.refresh_digest();
+            match self.allocate_vm(record.vcpus, memory) {
+                Ok(vm) => report.restarted.push((handle, vm)),
                 Err(_) => report.lost += 1,
             }
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(report)
     }
 
@@ -2102,14 +1612,8 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not currently failed.
     pub fn repair_membrick(&mut self, brick: BrickId) -> Result<ByteSize, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(OrchestratorError::Memory(
-                MemoryError::UnknownMemBrick { brick },
-            )));
-        }
-        let restored = self.racks[idx].sdm.repair_membrick(brick)?;
-        self.refresh_digest(idx);
+        let restored = self.racks[0].sdm.repair_membrick(brick)?;
+        self.refresh_digest();
         Ok(restored)
     }
 
@@ -2123,18 +1627,12 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dACCELBRICK.
     pub fn fail_accel_brick(&mut self, brick: BrickId) -> Result<AccelFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownAcceleratorBrick { brick },
-            ));
-        }
-        let newly = self.racks[idx].sdm.fail_accel_brick(brick)?;
+        let newly = self.racks[0].sdm.fail_accel_brick(brick)?;
         let mut report = AccelFaultReport::default();
         if !newly {
             return Ok(report);
         }
-        for session in self.racks[idx].sdm.sessions_on_accel(brick) {
+        for session in self.racks[0].sdm.sessions_on_accel(brick) {
             let Some(&owner) = self.offload_owners.get(&session) else {
                 continue;
             };
@@ -2142,7 +1640,7 @@ impl DredboxSystem {
                 report.drained.push((session, owner));
             }
         }
-        if let Some(accel) = self.racks[idx]
+        if let Some(accel) = self.racks[0]
             .rack
             .brick_mut(brick)
             .and_then(|b| b.as_accelerator_mut())
@@ -2151,7 +1649,7 @@ impl DredboxSystem {
                 let _ = accel.unload();
             }
         }
-        self.refresh_digest(idx);
+        self.refresh_digest();
         Ok(report)
     }
 
@@ -2164,23 +1662,17 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dACCELBRICK.
     pub fn repair_accel_brick(&mut self, brick: BrickId) -> Result<bool, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownAcceleratorBrick { brick },
-            ));
-        }
-        let repaired = self.racks[idx].sdm.repair_accel_brick(brick)?;
+        let repaired = self.racks[0].sdm.repair_accel_brick(brick)?;
         if repaired {
-            let off = self.racks[idx]
+            let off = self.racks[0]
                 .rack
                 .brick(brick)
                 .and_then(|b| b.as_accelerator())
                 .is_some_and(|a| a.power_state() == PowerState::Off);
             if off {
-                let _ = self.racks[idx].sdm.set_accel_power(brick, false);
+                let _ = self.racks[0].sdm.set_accel_power(brick, false);
             }
-            self.refresh_digest(idx);
+            self.refresh_digest();
         }
         Ok(repaired)
     }
@@ -2201,7 +1693,7 @@ impl DredboxSystem {
         {
             return None;
         }
-        let domain = &mut self.racks[idx];
+        let domain = &mut self.racks[0];
         let cabled: Vec<(PortId, u16)> = domain.topology.manager().cabled_ports().collect();
         if cabled.is_empty() {
             return None;
@@ -2263,13 +1755,11 @@ impl DredboxSystem {
     pub fn reclaim_orphans(&mut self) -> OrphanReclaim {
         let orphans = std::mem::take(&mut self.orphans);
         let mut out = OrphanReclaim::default();
-        let mut touched = BTreeSet::new();
         for record in orphans {
-            let idx = self.rack_index(record.brick);
             out.vms += 1;
             for grant in &record.grants {
                 let total = grant.grant.total();
-                match self.racks[idx].sdm.release_scale_up_lossy(grant) {
+                match self.racks[0].sdm.release_scale_up_lossy(grant) {
                     Ok((_service, lost)) => {
                         out.reclaimed +=
                             ByteSize::from_bytes(total.as_bytes().saturating_sub(lost.as_bytes()));
@@ -2277,20 +1767,19 @@ impl DredboxSystem {
                     }
                     Err(_) => out.unreclaimable += total,
                 }
-                self.remove_grant_from_rack(idx, record.brick, grant);
+                self.remove_grant_from_rack(record.brick, grant);
             }
-            let _ = self.racks[idx].sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self.racks[idx]
+            let _ = self.racks[0].sdm.release_vm(record.brick, record.vcpus);
+            if let Some(c) = self.racks[0]
                 .rack
                 .brick_mut(record.brick)
                 .and_then(|b| b.as_compute_mut())
             {
                 let _ = c.release_cores(record.vcpus);
             }
-            touched.insert(idx);
         }
-        for idx in touched {
-            self.refresh_digest(idx);
+        if out.vms > 0 {
+            self.refresh_digest();
         }
         out
     }
@@ -2303,10 +1792,9 @@ impl DredboxSystem {
         let Some(record) = self.vms.remove(handle_key(handle)) else {
             return ByteSize::ZERO;
         };
-        let idx = self.rack_index(record.brick);
         for session in &record.offloads {
-            if let Ok(release) = self.racks[idx].sdm.end_offload(*session) {
-                if let Some(accel) = self.racks[idx]
+            if let Ok(release) = self.racks[0].sdm.end_offload(*session) {
+                if let Some(accel) = self.racks[0]
                     .rack
                     .brick_mut(release.session.accel_brick)
                     .and_then(|b| b.as_accelerator_mut())
@@ -2331,13 +1819,13 @@ impl DredboxSystem {
         orphaned
     }
 
-    fn apply_grant_to_rack(&mut self, idx: usize, compute: BrickId, grant: &ScaleUpGrant) {
+    fn apply_grant_to_rack(&mut self, compute: BrickId, grant: &ScaleUpGrant) {
         // Wake-on-demand: a brick selected by placement may have been
         // switched off by an earlier power sweep; power it back on before
         // attaching, so long-running scenarios keep the rack-level
         // bookkeeping consistent with the pool. Every wake lands in the
         // rack's powered ledger, the basis of its provisioned-power digest.
-        let domain = &mut self.racks[idx];
+        let domain = &mut self.racks[0];
         if let Some(c) = domain
             .rack
             .brick_mut(compute)
@@ -2364,8 +1852,8 @@ impl DredboxSystem {
         }
     }
 
-    fn remove_grant_from_rack(&mut self, idx: usize, compute: BrickId, grant: &ScaleUpGrant) {
-        let domain = &mut self.racks[idx];
+    fn remove_grant_from_rack(&mut self, compute: BrickId, grant: &ScaleUpGrant) {
+        let domain = &mut self.racks[0];
         if let Some(c) = domain
             .rack
             .brick_mut(compute)
@@ -2439,6 +1927,20 @@ mod tests {
 
     fn system() -> DredboxSystem {
         DredboxSystem::build(SystemConfig::prototype_rack()).expect("build")
+    }
+
+    #[test]
+    fn build_rejects_anything_but_one_rack() {
+        for racks in [0, 2] {
+            let config = SystemConfig::prototype_rack().with_racks(racks);
+            assert!(
+                matches!(
+                    DredboxSystem::build(config),
+                    Err(SystemError::InvalidConfig { .. })
+                ),
+                "{racks} racks must be refused"
+            );
+        }
     }
 
     #[test]
@@ -2858,7 +2360,6 @@ mod tests {
         // force-ended before the evacuation migration.
         assert_eq!(report.sessions_dropped, 1);
         assert_eq!(report.migrated, 1);
-        assert_eq!(report.restarted, 0);
         assert_eq!(report.lost, 0);
         assert_eq!(report.orphaned, ByteSize::ZERO);
         assert!(s.vm_offloads(vm).is_empty());
@@ -2897,7 +2398,6 @@ mod tests {
 
         let report = s.fail_compute_brick(brick).unwrap();
         assert_eq!(report.migrated, 0);
-        assert_eq!(report.restarted, 0);
         assert_eq!(report.lost, 1);
         assert_eq!(report.orphaned, ByteSize::from_gib(4));
         assert_eq!(s.vm_count(), 3);
@@ -3035,19 +2535,6 @@ mod tests {
         assert_eq!(s.vm_memory(vm), Some(ByteSize::from_gib(4)));
         let more = s.allocate_vm(1, ByteSize::from_gib(2)).unwrap();
         assert!(s.vm_memory(more).is_some());
-    }
-
-    #[test]
-    fn undrain_is_a_noop_unless_the_rack_was_drained() {
-        let mut s = system();
-        let before = s.clone();
-        assert!(!s.undrain_rack(RackId(7)), "unknown rack");
-        assert!(!s.undrain_rack(RackId(0)), "rack was never drained");
-        assert_eq!(s, before, "failed undrain must not mutate the system");
-
-        s.set_rack_schedulable(RackId(0), false);
-        assert!(s.undrain_rack(RackId(0)));
-        assert!(!s.undrain_rack(RackId(0)), "second undrain is a no-op");
     }
 
     #[test]

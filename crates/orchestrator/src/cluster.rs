@@ -53,7 +53,43 @@ use crate::placement::PlacementPolicy;
 
 /// A cluster rank set: flat `(key, rack)` pairs ordered `(key asc, id
 /// asc)`, the same shape as the brick-level rank sets one layer down.
-type RackRankSet = BTreeSet<(u64, RackId)>;
+///
+/// A sorted vector, not a B-tree: a federation ranks tens of racks, and
+/// every `DredboxSystem` keeps a one-rack controller it refreshes after
+/// each operation, so a binary search plus a short shift beats a node
+/// walk. It snapshots exactly as a `BTreeSet` of the same pairs.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+struct RackRankSet(Vec<(u64, RackId)>);
+
+impl RackRankSet {
+    fn insert(&mut self, key: (u64, RackId)) {
+        if let Err(at) = self.0.binary_search(&key) {
+            self.0.insert(at, key);
+        }
+    }
+
+    fn remove(&mut self, key: &(u64, RackId)) {
+        if let Ok(at) = self.0.binary_search(key) {
+            self.0.remove(at);
+        }
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, (u64, RackId)> {
+        self.0.iter()
+    }
+}
+
+impl dredbox_snap::Snap for RackRankSet {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.0.snap(out);
+    }
+
+    fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
+        // Decoded as a set, so any stream yields sorted, distinct pairs.
+        let set = BTreeSet::<(u64, RackId)>::unsnap(r)?;
+        Ok(RackRankSet(set.into_iter().collect()))
+    }
+}
 
 /// The capacity facts of one rack, as digested for cluster decisions.
 ///
@@ -264,6 +300,10 @@ impl ClusterController {
     /// `O(log racks)`.
     pub fn upsert(&mut self, rack: RackId, digest: RackDigest) {
         if let Some(old) = self.digests.insert(rack, digest) {
+            if old == digest {
+                // An unchanged republish leaves the rank keys where they are.
+                return;
+            }
             self.by_free.remove(&(old.free_cores, rack));
             if old.active_bricks > 0 {
                 self.active_by_free.remove(&(old.free_cores, rack));

@@ -1,15 +1,17 @@
-//! A minimal discrete-event engine.
+//! The flat single-calendar reference engine: one [`EventQueue`] drained
+//! against a world until it empties, a time horizon is reached, or an
+//! event budget is exhausted.
 //!
-//! The engine drives an [`EventQueue`] against a user-supplied world state.
-//! Handling an event may schedule further events; the engine runs until the
-//! queue drains, a time horizon is reached, or an event budget is exhausted.
+//! Test-only: a one-shard [`ShardedEngine`](crate::shard::ShardedEngine)
+//! must reproduce it event for event (see the `shard` tests).
 
 use crate::event::EventQueue;
+use crate::shard::RunOutcome;
 use crate::time::SimTime;
 
 /// A process reacts to events of type `E`, mutating its own state and
 /// scheduling follow-up events.
-pub trait Process {
+pub(crate) trait Process {
     /// The event type handled by this process.
     type Event;
 
@@ -19,54 +21,9 @@ pub trait Process {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
-/// Outcome of an [`Engine::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum RunOutcome {
-    /// The event queue drained completely.
-    Drained,
-    /// The time horizon was reached before the queue drained.
-    HorizonReached,
-    /// The event budget was exhausted before the queue drained.
-    BudgetExhausted,
-}
-
-impl std::fmt::Display for RunOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RunOutcome::Drained => "drained",
-            RunOutcome::HorizonReached => "horizon reached",
-            RunOutcome::BudgetExhausted => "event budget exhausted",
-        })
-    }
-}
-
 /// Discrete-event engine: a clock plus an event queue.
-///
-/// ```
-/// use dredbox_sim::engine::{Engine, Process, RunOutcome};
-/// use dredbox_sim::event::EventQueue;
-/// use dredbox_sim::time::{SimDuration, SimTime};
-///
-/// struct Counter { fired: u32 }
-/// impl Process for Counter {
-///     type Event = ();
-///     fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-///         self.fired += 1;
-///         if self.fired < 5 {
-///             q.schedule(now + SimDuration::from_nanos(10), ());
-///         }
-///     }
-/// }
-///
-/// let mut engine = Engine::new();
-/// engine.schedule(SimTime::ZERO, ());
-/// let mut world = Counter { fired: 0 };
-/// assert_eq!(engine.run(&mut world), RunOutcome::Drained);
-/// assert_eq!(world.fired, 5);
-/// assert_eq!(engine.now(), SimTime::from_nanos(40));
-/// ```
 #[derive(Debug)]
-pub struct Engine<E> {
+pub(crate) struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
     horizon: Option<SimTime>,
@@ -76,7 +33,7 @@ pub struct Engine<E> {
 
 impl<E> Engine<E> {
     /// Creates an engine with the clock at [`SimTime::ZERO`] and no limits.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -87,29 +44,29 @@ impl<E> Engine<E> {
     }
 
     /// Stops the run once the clock would advance past `horizon`.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
+    pub(crate) fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = Some(horizon);
         self
     }
 
     /// Stops the run after `max_events` events have been processed.
-    pub fn with_event_budget(mut self, max_events: u64) -> Self {
+    pub(crate) fn with_event_budget(mut self, max_events: u64) -> Self {
         self.max_events = Some(max_events);
         self
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed
     }
 
     /// Number of pending events.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.queue.len()
     }
 
@@ -118,13 +75,13 @@ impl<E> Engine<E> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current clock.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
         self.queue.schedule(at, event);
     }
 
     /// Runs the simulation until the queue drains or a limit is hit.
-    pub fn run<P: Process<Event = E>>(&mut self, world: &mut P) -> RunOutcome {
+    pub(crate) fn run<P: Process<Event = E>>(&mut self, world: &mut P) -> RunOutcome {
         loop {
             if let Some(max) = self.max_events {
                 if self.processed >= max {
@@ -145,12 +102,6 @@ impl<E> Engine<E> {
             self.processed += 1;
             world.handle(self.now, event, &mut self.queue);
         }
-    }
-}
-
-impl<E> Default for Engine<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

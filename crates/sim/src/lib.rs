@@ -6,10 +6,9 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`SimDuration`]).
 //! * [`event`] — a deterministic event queue keyed by time and insertion order.
-//! * [`engine`] — a small engine that drains an [`event::EventQueue`] against a
-//!   user-provided world state.
-//! * [`shard`] — the same engine partitioned into per-shard calendars (one per
-//!   rack) with deterministic (time, shard, seq) cross-shard mailboxes.
+//! * [`shard`] — the discrete-event engine: per-shard calendars (one per rack)
+//!   drained against a user-provided world state, with deterministic
+//!   (time, shard, seq) cross-shard mailboxes.
 //! * [`arena`] — generational slab arenas giving the scenario hot path stable
 //!   `u32` slots and an allocation-free steady state.
 //! * [`rng`] — a seedable, reproducible random-number generator wrapper so that
@@ -40,7 +39,8 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod error;
 pub mod event;
 pub mod fault;
@@ -56,7 +56,6 @@ pub mod units;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::arena::{SlotArena, SlotKey};
-    pub use crate::engine::{Engine, Process, RunOutcome};
     pub use crate::error::SimError;
     pub use crate::event::EventQueue;
     pub use crate::fault::{
@@ -66,7 +65,7 @@ pub mod prelude {
     pub use crate::queue::{ControlPlaneQueue, QueueAdmission};
     pub use crate::report::{Figure, Row, Series, Table};
     pub use crate::rng::SimRng;
-    pub use crate::shard::{ShardContext, ShardId, ShardedEngine, ShardedProcess};
+    pub use crate::shard::{RunOutcome, ShardContext, ShardId, ShardedEngine, ShardedProcess};
     pub use crate::stats::{BoxPlot, Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{Bandwidth, ByteSize, DecibelMilliwatts, Milliwatts, Watts};

@@ -52,9 +52,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::mpsc;
 use std::thread;
 
-use crate::engine::RunOutcome;
 use crate::event::EventQueue;
-use crate::shard::{MailEntry, SerialEntry, ShardId, ShardedEngine};
+use crate::shard::{MailEntry, RunOutcome, SerialEntry, ShardId, ShardedEngine};
 use crate::time::{SimDuration, SimTime};
 
 /// Effectively-unbounded horizon cap.

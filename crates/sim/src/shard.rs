@@ -27,12 +27,12 @@
 //!    interleaving.
 //!
 //! With a single shard and only local scheduling, the run is
-//! *bit-identical* to [`Engine`](crate::engine::Engine) on the same trace:
-//! same pops, same clock, same [`RunOutcome`].
+//! *bit-identical* to a flat single-calendar engine on the same trace:
+//! same pops, same clock, same [`RunOutcome`] (the tests compare against
+//! such a reference engine).
 //!
 //! ```
-//! use dredbox_sim::shard::{ShardContext, ShardId, ShardedEngine, ShardedProcess};
-//! use dredbox_sim::engine::RunOutcome;
+//! use dredbox_sim::shard::{RunOutcome, ShardContext, ShardId, ShardedEngine, ShardedProcess};
 //! use dredbox_sim::time::{SimDuration, SimTime};
 //!
 //! /// A token bounces between two racks until it has hopped 6 times.
@@ -60,7 +60,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::engine::RunOutcome;
 use crate::event::EventQueue;
 use crate::time::SimTime;
 
@@ -70,6 +69,27 @@ use crate::time::SimTime;
 const IDLE: SimTime = SimTime::from_nanos(u64::MAX);
 
 pub use crate::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
+
+/// Why a [`ShardedEngine`] run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum RunOutcome {
+    /// Every calendar and mailbox drained completely.
+    Drained,
+    /// The time horizon was reached before the calendars drained.
+    HorizonReached,
+    /// The event budget was exhausted before the calendars drained.
+    BudgetExhausted,
+}
+
+impl std::fmt::Display for RunOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RunOutcome::Drained => "drained",
+            RunOutcome::HorizonReached => "horizon reached",
+            RunOutcome::BudgetExhausted => "event budget exhausted",
+        })
+    }
+}
 
 /// Identifies one shard (one per-rack event domain) of a [`ShardedEngine`].
 #[derive(
@@ -272,9 +292,9 @@ impl<E> Ord for SerialEntry<E> {
 }
 
 /// Discrete-event engine with one calendar per shard and deterministic
-/// cross-shard mailboxes. See the module docs for the ordering contract;
-/// run semantics (horizon, event budget, outcomes) mirror
-/// [`Engine`](crate::engine::Engine).
+/// cross-shard mailboxes. See the module docs for the ordering contract
+/// and [`ShardedEngine::run`] for the run semantics (horizon, event
+/// budget, outcomes).
 #[derive(Debug)]
 pub struct ShardedEngine<E> {
     pub(crate) now: SimTime,
@@ -493,9 +513,8 @@ impl<E> ShardedEngine<E> {
     }
 
     /// Runs the simulation single-threaded until every calendar and
-    /// mailbox drains or a limit is hit. Semantics match
-    /// [`Engine::run`](crate::engine::Engine::run): the budget is checked
-    /// before each pop and the horizon against the next event's time.
+    /// mailbox drains or a limit is hit: the budget is checked before each
+    /// pop and the horizon against the next event's time.
     ///
     /// # Panics
     ///

@@ -1,21 +1,29 @@
 //! Federation invariants of the two-level (cluster → rack) orchestration.
 //!
-//! The cluster controller never inspects bricks: it routes on per-rack
-//! capacity digests the rack layer maintains incrementally after every
-//! mutating operation. These property tests replay random routed-admit /
-//! release / cross-rack-migrate / drain / sweep traces through a multi-rack
-//! [`DredboxSystem`] and assert after every step that
+//! A multi-rack datacenter is one single-rack [`DredboxSystem`] per rack
+//! under a standalone [`ClusterController`] that never inspects bricks: it
+//! routes on the capacity digest each rack publishes, maintained
+//! incrementally after every mutating operation. These property tests
+//! replay random routed-admit / release / migrate / sweep / cordon traces
+//! through that split and assert after every step that
 //!
-//! * every published [`RackDigest`] equals a from-scratch rebuild off the
-//!   authoritative per-brick state ([`DredboxSystem::rebuild_rack_digest`]),
-//!   so routing decisions can never act on stale aggregates; and
-//! * every rejected cluster request — an infeasible admission, an invalid
-//!   cross-rack migration — leaves the whole system (controller, digests,
-//!   racks, pools, ledgers) bit-identical: no partial spillover residue.
+//! * every rack's published [`RackDigest`] equals a from-scratch rebuild
+//!   off the authoritative per-brick state
+//!   ([`DredboxSystem::rebuild_rack_digest`]), and the controller routes on
+//!   exactly those digests, so routing decisions can never act on stale
+//!   aggregates; and
+//! * every refused cluster request — an infeasible admission, an
+//!   admission with every rack unschedulable — leaves every rack and the
+//!   controller bit-identical: no partial spillover residue.
+//!
+//! Cross-rack drains and evacuations run in the scenario engine's cluster
+//! world; `tests/determinism_prop.rs` and the `datacenter`,
+//! `failure-storm` and `rolling-upgrade` goldens replay them.
 
 use proptest::prelude::*;
 
 use dredbox::bricks::RackId;
+use dredbox::orchestrator::ClusterController;
 use dredbox::prelude::*;
 use dredbox::sim::units::{ByteSize, Watts};
 
@@ -27,20 +35,17 @@ enum Op {
     Admit { vcpus: u32, gib: u64 },
     /// Release the `pick`-th live VM.
     Release { pick: usize },
-    /// Wholesale-migrate the `pick`-th live VM to the `rack`-th rack (its
-    /// own or a full rack — rejections must be no-ops).
-    Migrate { pick: usize, rack: usize },
-    /// Drain the `rack`-th rack: mark it unschedulable and evacuate it.
-    Drain { rack: usize },
-    /// Mark the `rack`-th rack schedulable again after a drain.
-    Reenable { rack: usize },
+    /// Live-migrate the `pick`-th live VM within its rack to the rack's
+    /// evacuation target (rejections must be no-ops).
+    Migrate { pick: usize },
+    /// Mark the `rack`-th rack unschedulable (`cordon`) or schedulable.
+    Cordon { rack: usize, cordon: bool },
     /// Power-sweep the `rack`-th rack.
     Sweep { rack: usize },
 }
 
 /// Decodes a sampled tuple: ~40% admissions, then a churn mix of releases,
-/// cross-rack migrations, drains, re-enables and sweeps, so racks fill,
-/// spill over, evacuate and sleep.
+/// migrations, cordons and sweeps, so racks fill, spill over and sleep.
 fn decode((kind, a, b): (u8, u8, u8)) -> Op {
     match kind % 10 {
         0..=3 => Op::Admit {
@@ -48,44 +53,92 @@ fn decode((kind, a, b): (u8, u8, u8)) -> Op {
             gib: u64::from(b % 4) + 1,
         },
         4..=5 => Op::Release { pick: a as usize },
-        6..=7 => Op::Migrate {
-            pick: a as usize,
+        6..=7 => Op::Migrate { pick: a as usize },
+        8 => Op::Cordon {
             rack: b as usize,
+            cordon: a % 2 == 0,
         },
-        8 => {
-            if a % 2 == 0 {
-                Op::Drain { rack: b as usize }
-            } else {
-                Op::Reenable { rack: b as usize }
-            }
-        }
         _ => Op::Sweep { rack: a as usize },
     }
 }
 
-/// A small federated system: 3 racks × 2 trays × (2 compute + 2 memory)
-/// bricks, under a rack power budget tight enough that routing exercises
-/// the power-deferral path.
-fn build_cluster() -> DredboxSystem {
-    let config = SystemConfig::datacenter_cluster(3, 2, 2, 2)
-        .with_rack_power_budget(Some(Watts::new(2_000.0)));
-    DredboxSystem::build(config).expect("build cluster")
+/// Three single-rack systems under one cluster controller: each rack
+/// 2 trays × (2 compute + 2 memory) bricks, under a rack power budget
+/// tight enough that routing exercises the power-deferral path.
+#[derive(Debug, Clone, PartialEq)]
+struct Fleet {
+    racks: Vec<DredboxSystem>,
+    controller: ClusterController,
 }
 
-/// Every published digest must equal a from-scratch rebuild from per-brick
-/// state — the lockstep contract routing correctness rests on.
-fn check_digests(s: &DredboxSystem) {
-    assert_eq!(s.cluster().len(), s.rack_count());
-    for idx in 0..s.rack_count() {
-        let rack = RackId(idx as u16);
-        let published = s.cluster().digest(rack).expect("digest published");
-        let rebuilt = s
-            .rebuild_rack_digest(rack)
-            .expect("rack exists for rebuild");
-        assert_eq!(
-            published, &rebuilt,
-            "{rack:?}: incremental digest diverged from a from-scratch rebuild"
-        );
+impl Fleet {
+    fn build() -> Self {
+        let config = SystemConfig::datacenter_rack(2, 2, 2)
+            .with_rack_power_budget(Some(Watts::new(2_000.0)));
+        let mut controller = ClusterController::new(config.placement);
+        controller.set_rack_budget(config.rack_power_budget);
+        let racks = (0..3)
+            .map(|_| DredboxSystem::build(config.clone()).expect("build rack"))
+            .collect();
+        let mut fleet = Fleet { racks, controller };
+        for rack in 0..fleet.racks.len() {
+            fleet.publish(rack);
+        }
+        fleet
+    }
+
+    /// Copies rack `rack`'s published digest into the cluster controller.
+    fn publish(&mut self, rack: usize) {
+        let digest = *self.racks[rack]
+            .cluster()
+            .digest(RackId(0))
+            .expect("a rack publishes its digest");
+        self.controller.upsert(RackId(rack as u16), digest);
+    }
+
+    /// Routes an admission: the controller's pick (or, when no digest
+    /// admits it, the first schedulable rack, whose SDM controller owns the
+    /// authoritative rejection), then the remaining racks in spillover
+    /// order.
+    fn admit(&mut self, vcpus: u32, memory: ByteSize) -> Option<(usize, VmHandle)> {
+        let route = self.controller.route(vcpus, memory);
+        let first = route.rack.or_else(|| {
+            (0..self.racks.len() as u16)
+                .map(RackId)
+                .find(|r| self.controller.is_schedulable(*r))
+        })?;
+        let spill = self.controller.spillover_order(vcpus, memory, Some(first));
+        for rack in std::iter::once(first).chain(spill) {
+            let rack = usize::from(rack.0);
+            let admitted = self.racks[rack].allocate_vm(vcpus, memory);
+            self.publish(rack);
+            if let Ok(vm) = admitted {
+                return Some((rack, vm));
+            }
+        }
+        None
+    }
+
+    /// Every rack's digest must equal a from-scratch rebuild from
+    /// per-brick state, and the controller must hold exactly what each
+    /// rack published — the lockstep contract routing correctness rests on.
+    fn check_digests(&self) {
+        assert_eq!(self.controller.len(), self.racks.len());
+        for (idx, system) in self.racks.iter().enumerate() {
+            let published = system.cluster().digest(RackId(0)).expect("published");
+            let rebuilt = system
+                .rebuild_rack_digest(RackId(0))
+                .expect("rack exists for rebuild");
+            assert_eq!(
+                published, &rebuilt,
+                "rack {idx}: incremental digest diverged from a from-scratch rebuild"
+            );
+            assert_eq!(
+                self.controller.digest(RackId(idx as u16)),
+                Some(published),
+                "rack {idx}: the controller routes on a stale digest"
+            );
+        }
     }
 }
 
@@ -94,69 +147,71 @@ proptest! {
     fn federated_traces_keep_digests_in_lockstep_with_brick_state(
         ops in proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 1..50)
     ) {
-        let mut system = build_cluster();
-        let racks = system.rack_count();
-        let mut live: Vec<VmHandle> = Vec::new();
-        check_digests(&system);
+        let mut fleet = Fleet::build();
+        let racks = fleet.racks.len();
+        let mut live: Vec<(usize, VmHandle)> = Vec::new();
+        fleet.check_digests();
 
         for tuple in ops {
             match decode(tuple) {
                 Op::Admit { vcpus, gib } => {
-                    let before = system.clone();
-                    match system.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                        Ok(outcome) => live.push(outcome.vm),
+                    let before = fleet.clone();
+                    match fleet.admit(vcpus, ByteSize::from_gib(gib)) {
+                        Some(placed) => live.push(placed),
                         // A refused admission — every candidate rack full or
                         // unschedulable — must be a perfect no-op.
-                        Err(_) => prop_assert_eq!(&system, &before),
+                        None => prop_assert_eq!(&fleet, &before),
                     }
                 }
                 Op::Release { pick } => {
                     if live.is_empty() {
                         continue;
                     }
-                    let vm = live.swap_remove(pick % live.len());
-                    system.release_vm(vm).expect("live VM releases");
+                    let (rack, vm) = live.swap_remove(pick % live.len());
+                    fleet.racks[rack].release_vm(vm).expect("live VM releases");
+                    fleet.publish(rack);
                 }
-                Op::Migrate { pick, rack } => {
+                Op::Migrate { pick } => {
                     if live.is_empty() {
                         continue;
                     }
-                    let vm = live[pick % live.len()];
-                    let to = RackId((rack % racks) as u16);
-                    let before = system.clone();
-                    if system.migrate_vm_cross_rack(vm, to).is_err() {
-                        // Rejected cross-rack migrations (own rack, no
-                        // capacity) must leave the system bit-identical.
-                        prop_assert_eq!(&system, &before);
+                    let (rack, vm) = live[pick % live.len()];
+                    let Some(to) = fleet.racks[rack].evacuation_target(vm) else {
+                        continue;
+                    };
+                    let before = fleet.clone();
+                    let moved = fleet.racks[rack].migrate_vm(vm, to).is_ok();
+                    fleet.publish(rack);
+                    if !moved {
+                        // Rejected migrations must leave the fleet
+                        // bit-identical.
+                        prop_assert_eq!(&fleet, &before);
                     }
                 }
-                Op::Drain { rack } => {
-                    let target = RackId((rack % racks) as u16);
-                    let (_, _stranded) = system.drain_rack(target);
-                    prop_assert!(!system.cluster().is_schedulable(target));
-                }
-                Op::Reenable { rack } => {
-                    let target = RackId((rack % racks) as u16);
-                    system.set_rack_schedulable(target, true);
+                Op::Cordon { rack, cordon } => {
+                    fleet
+                        .controller
+                        .set_schedulable(RackId((rack % racks) as u16), !cordon);
                 }
                 Op::Sweep { rack } => {
-                    let target = RackId((rack % racks) as u16);
-                    system.power_off_unused_in(target);
+                    let rack = rack % racks;
+                    fleet.racks[rack].power_off_unused();
+                    fleet.publish(rack);
                 }
             }
-            check_digests(&system);
+            fleet.check_digests();
         }
 
         // Drain the trace: releasing every surviving VM must return all
         // digests to lockstep with an idle cluster.
-        for vm in live.drain(..) {
-            // A drain may have stranded and force-released nothing — but
-            // handles stay live unless released; stranded VMs keep running
-            // on their unschedulable rack, so every handle is still valid.
-            system.release_vm(vm).expect("live VM releases");
+        for (rack, vm) in live.drain(..) {
+            fleet.racks[rack].release_vm(vm).expect("live VM releases");
+            fleet.publish(rack);
         }
-        check_digests(&system);
-        prop_assert_eq!(system.sdm().pool().total_allocated(), ByteSize::ZERO);
+        fleet.check_digests();
+        for system in &fleet.racks {
+            prop_assert_eq!(system.sdm().pool().total_allocated(), ByteSize::ZERO);
+        }
     }
 
     #[test]
@@ -165,51 +220,33 @@ proptest! {
         huge_vcpus in 1_000u32..=100_000,
         huge_gib in 10_000u64..=1_000_000,
     ) {
-        let mut system = build_cluster();
-        let racks = system.rack_count();
+        let mut fleet = Fleet::build();
+        let racks = fleet.racks.len();
 
         // Partially load the cluster so rejections race against real state.
-        let mut live = Vec::new();
         for (vcpus, gib) in seeds {
-            if let Ok(outcome) = system.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                live.push(outcome.vm);
-            }
+            let _ = fleet.admit(vcpus, ByteSize::from_gib(gib));
         }
-        check_digests(&system);
-        let before = system.clone();
+        fleet.check_digests();
+        let before = fleet.clone();
 
         // No rack can host this demand: the digest screen (or every rack's
         // admission) refuses, and nothing may move.
-        prop_assert!(system
-            .allocate_vm_routed(huge_vcpus, ByteSize::from_gib(huge_gib))
-            .is_err());
-        prop_assert_eq!(&system, &before);
-
-        // Migrating to the VM's own rack or an unknown rack is refused
-        // without a trace.
-        if let Some(&vm) = live.first() {
-            let own = system
-                .vm_brick(vm)
-                .map(|b| system.rack_of(b))
-                .expect("live VM has a brick");
-            prop_assert!(system.migrate_vm_cross_rack(vm, own).is_err());
-            prop_assert_eq!(&system, &before);
-            prop_assert!(system
-                .migrate_vm_cross_rack(vm, RackId(racks as u16))
-                .is_err());
-            prop_assert_eq!(&system, &before);
-        }
+        prop_assert!(fleet
+            .admit(huge_vcpus, ByteSize::from_gib(huge_gib))
+            .is_none());
+        prop_assert_eq!(&fleet, &before);
 
         // With every rack unschedulable, even a trivial request is refused
         // — and re-enabling restores routability with digests untouched.
         for idx in 0..racks {
-            system.set_rack_schedulable(RackId(idx as u16), false);
+            fleet.controller.set_schedulable(RackId(idx as u16), false);
         }
-        prop_assert!(system.allocate_vm_routed(1, ByteSize::from_gib(1)).is_err());
+        prop_assert!(fleet.admit(1, ByteSize::from_gib(1)).is_none());
         for idx in 0..racks {
-            system.set_rack_schedulable(RackId(idx as u16), true);
+            fleet.controller.set_schedulable(RackId(idx as u16), true);
         }
-        prop_assert_eq!(&system, &before);
-        check_digests(&system);
+        prop_assert_eq!(&fleet, &before);
+        fleet.check_digests();
     }
 }

@@ -2,7 +2,7 @@
 //! contention-free configuration replays the flat latency model
 //! bit-for-bit, incast pressure visibly collapses the latency tail,
 //! adaptive movement granularity visibly recovers it, and the two shipped
-//! data-path scenarios stay bit-deterministic across sharding modes.
+//! data-path scenarios stay bit-deterministic at every worker count.
 
 use proptest::prelude::*;
 
@@ -174,17 +174,13 @@ fn incast_contention_collapses_p99_and_adaptive_granularity_recovers_it() {
 fn data_path_scenarios_replay_bit_identically_across_sharding_modes() {
     for spec in [ScenarioSpec::memory_thrash(), ScenarioSpec::incast()] {
         for seed in [2018u64, 7] {
-            let mut single = spec.clone();
-            single.sharding = ShardingMode::Single;
-            let mut per_rack = spec.clone();
-            per_rack.sharding = ShardingMode::PerRack;
-            let a = single.run(seed).expect("single-shard run");
-            let b = per_rack.run(seed).expect("per-rack run");
-            assert_eq!(a, b, "{}-{seed} differs between sharding modes", spec.name);
+            let a = spec.run(seed).expect("serial run");
+            let b = spec.run_with_threads(seed, 4).expect("threaded run");
+            assert_eq!(a, b, "{}-{seed} differs between worker counts", spec.name);
             assert_eq!(
                 format!("{a:#?}\n{a}"),
                 format!("{b:#?}\n{b}"),
-                "{}-{seed} renders differently between sharding modes",
+                "{}-{seed} renders differently between worker counts",
                 spec.name
             );
         }

@@ -366,8 +366,8 @@ fn every_scenario_serializes_requests_through_the_control_plane_queue() {
 
 /// The bit-determinism contract of the sharded engine: every extended-suite
 /// scenario, at the two pinned seeds, must reproduce the committed snapshot
-/// under `tests/golden/` byte for byte — in *both* sharding modes, since a
-/// single-rack replay may not legally differ between them. Any engine,
+/// under `tests/golden/` byte for byte on a serial replay — and, for
+/// multi-rack scenarios, on 2 and 4 worker threads too. Any engine,
 /// control-plane, or index change that shifts a single report bit fails
 /// here; regenerate intentionally with `cargo run --release --example golden`.
 #[test]
@@ -378,27 +378,21 @@ fn extended_suite_matches_golden_snapshots_in_both_sharding_modes() {
             let path = dir.join(format!("{}-{}.txt", spec.name, seed));
             let golden = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            for sharding in [ShardingMode::Single, ShardingMode::PerRack] {
-                let mut run = spec.clone();
-                run.sharding = sharding;
-                let report = run.run(seed).expect("scenario runs");
-                let rendered = format!("{report:#?}\n{report}");
-                assert!(
-                    rendered == golden,
-                    "{}-{seed} under {sharding:?} drifted from {}",
-                    spec.name,
-                    path.display()
-                );
-            }
+            let report = spec.run(seed).expect("scenario runs");
+            let rendered = format!("{report:#?}\n{report}");
+            assert!(
+                rendered == golden,
+                "{}-{seed} drifted from {}",
+                spec.name,
+                path.display()
+            );
             // The same snapshot must survive threaded execution: the
             // conservative runner's epoch barriers and (time, shard, seq)
             // merge may not shift a single byte relative to the serial
             // replay, at any worker count.
             if spec.system.racks > 1 {
                 for threads in [2usize, 4] {
-                    let mut run = spec.clone();
-                    run.sharding = ShardingMode::PerRack;
-                    let report = run.run_with_threads(seed, threads).expect("scenario runs");
+                    let report = spec.run_with_threads(seed, threads).expect("scenario runs");
                     let rendered = format!("{report:#?}\n{report}");
                     assert!(
                         rendered == golden,

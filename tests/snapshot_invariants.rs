@@ -1,14 +1,16 @@
 //! Snapshot/restore invariants under arbitrary operation and fault traces.
 //!
 //! Live servicing rests on one promise: a [`SystemSnapshot`] captured at any
-//! point — however tangled the history of admissions, releases, cross-rack
+//! point — however tangled the history of routed admissions, releases,
 //! migrations, offload sessions, brick/link/switch faults, repairs and
 //! reclaims that led there — serializes, deserializes and restores to a
 //! system that is bit-identical *and stays bit-identical under every
-//! subsequent operation*. These property tests replay a random trace prefix,
-//! round-trip the system through the wire format, then drive the original
-//! and the restored copy through the same trace suffix in lockstep,
-//! asserting equality (and digest-rebuild agreement) after every step.
+//! subsequent operation*. These property tests replay a random trace prefix
+//! over a small federation (one single-rack system per rack under a cluster
+//! controller), round-trip every rack through the wire format, then drive
+//! the original and the restored federation through the same trace suffix
+//! in lockstep, asserting equality (and digest-rebuild agreement) after
+//! every step.
 //!
 //! A second property holds the decoder's ground: truncations of a valid
 //! stream are always rejected with an error, never misread or panicked on.
@@ -16,6 +18,7 @@
 use proptest::prelude::*;
 
 use dredbox::bricks::{Brick, BrickId, RackId};
+use dredbox::orchestrator::ClusterController;
 use dredbox::prelude::*;
 use dredbox::sim::units::ByteSize;
 use dredbox::workload::OffloadDemand;
@@ -24,7 +27,8 @@ use dredbox::workload::OffloadDemand;
 /// plus the full fault/repair surface.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Route a VM through the cluster controller.
+    /// Route a VM through the cluster controller and admit it on the
+    /// chosen rack.
     Admit {
         vcpus: u32,
         gib: u64,
@@ -34,10 +38,10 @@ enum Op {
     Release {
         pick: usize,
     },
-    /// Wholesale-migrate the `pick`-th tracked VM to the `rack`-th rack.
+    /// Live-migrate the `pick`-th tracked VM to its rack's evacuation
+    /// target.
     Migrate {
         pick: usize,
-        rack: usize,
     },
     /// Begin a near-data offload session on the `pick`-th tracked VM.
     Offload {
@@ -48,7 +52,7 @@ enum Op {
     EndOffload {
         pick: usize,
     },
-    /// Fail the `pick`-th brick of one kind.
+    /// Fail the `pick`-th brick (across all racks) of one kind.
     FaultCompute {
         pick: usize,
     },
@@ -81,23 +85,23 @@ enum Op {
         rack: usize,
         ordinal: u32,
     },
-    /// Reclaim every orphaned remote segment.
+    /// Reclaim every rack's orphaned remote segments.
     Reclaim,
-    /// Power-sweep the whole system.
+    /// Power-sweep every rack.
     Sweep,
 }
 
 /// Decodes a sampled tuple into an op: ~30% admissions, then a churn mix
 /// weighted toward the fault/repair surface this suite exists to cover.
 fn decode((kind, a, b): (u8, u8, u8)) -> Op {
-    let (pick, rack, ordinal) = (a as usize, b as usize, u32::from(b));
+    let (pick, ordinal) = (a as usize, u32::from(b));
     match kind % 20 {
         0..=5 => Op::Admit {
             vcpus: u32::from(a % 4) + 1,
             gib: u64::from(b % 4) + 1,
         },
         6..=7 => Op::Release { pick },
-        8 => Op::Migrate { pick, rack },
+        8 => Op::Migrate { pick },
         9..=10 => Op::Offload {
             pick,
             kernel: b % 3,
@@ -125,25 +129,91 @@ fn decode((kind, a, b): (u8, u8, u8)) -> Op {
     }
 }
 
-/// A small federation with every brick kind present: 2 racks × 2 trays ×
-/// (2 compute + 2 memory + 1 accel) bricks.
-fn build() -> DredboxSystem {
-    let config = dredbox::SystemConfig::accelerated_rack(2, 2, 2, 1).with_racks(2);
-    DredboxSystem::build(config).expect("build system")
+/// A small federation with every brick kind present: 2 single-rack
+/// systems of 2 trays × (2 compute + 2 memory + 1 accel) bricks under one
+/// cluster controller.
+#[derive(Debug, Clone, PartialEq)]
+struct Fleet {
+    racks: Vec<DredboxSystem>,
+    controller: ClusterController,
 }
 
-/// The `pick`-th brick (across all racks) matching a kind filter.
-fn brick(s: &DredboxSystem, pick: usize, want: fn(&Brick) -> bool) -> Option<BrickId> {
-    let mut ids: Vec<BrickId> = Vec::new();
-    for idx in 0..s.rack_count() {
-        if let Some(rack) = s.rack_at(RackId(idx as u16)) {
-            ids.extend(rack.bricks().filter(|b| want(b)).map(Brick::id));
+impl Fleet {
+    fn build() -> Self {
+        let config = dredbox::SystemConfig::accelerated_rack(2, 2, 2, 1);
+        let mut controller = ClusterController::new(config.placement);
+        controller.set_rack_budget(config.rack_power_budget);
+        let racks = (0..2)
+            .map(|_| DredboxSystem::build(config.clone()).expect("build rack"))
+            .collect();
+        let mut fleet = Fleet { racks, controller };
+        for rack in 0..fleet.racks.len() {
+            fleet.publish(rack);
+        }
+        fleet
+    }
+
+    /// Copies rack `rack`'s published digest into the cluster controller.
+    fn publish(&mut self, rack: usize) {
+        let digest = *self.racks[rack]
+            .cluster()
+            .digest(RackId(0))
+            .expect("a rack publishes its digest");
+        self.controller.upsert(RackId(rack as u16), digest);
+    }
+
+    /// Routes an admission to the controller's pick (rack 0 when no digest
+    /// admits it), spilling over to the other racks in preference order.
+    fn admit(&mut self, vcpus: u32, memory: ByteSize) -> Option<(usize, VmHandle)> {
+        let first = self
+            .controller
+            .route(vcpus, memory)
+            .rack
+            .unwrap_or(RackId(0));
+        let spill = self.controller.spillover_order(vcpus, memory, Some(first));
+        for rack in std::iter::once(first).chain(spill) {
+            let rack = usize::from(rack.0);
+            let admitted = self.racks[rack].allocate_vm(vcpus, memory);
+            self.publish(rack);
+            if let Ok(vm) = admitted {
+                return Some((rack, vm));
+            }
+        }
+        None
+    }
+
+    /// The `pick`-th brick (across all racks) matching a kind filter.
+    fn brick(&self, pick: usize, want: fn(&Brick) -> bool) -> Option<(usize, BrickId)> {
+        let ids: Vec<(usize, BrickId)> = self
+            .racks
+            .iter()
+            .enumerate()
+            .flat_map(|(rack, s)| {
+                s.rack()
+                    .bricks()
+                    .filter(|b| want(b))
+                    .map(move |b| (rack, b.id()))
+            })
+            .collect();
+        if ids.is_empty() {
+            None
+        } else {
+            Some(ids[pick % ids.len()])
         }
     }
-    if ids.is_empty() {
-        None
-    } else {
-        Some(ids[pick % ids.len()])
+
+    /// Runs a brick-level operation on the `pick`-th brick of a kind and
+    /// republishes that rack's digest.
+    fn on_brick(
+        &mut self,
+        pick: usize,
+        want: fn(&Brick) -> bool,
+        op: impl FnOnce(&mut DredboxSystem, BrickId),
+    ) {
+        if let Some((rack, brick)) = self.brick(pick, want) {
+            op(&mut self.racks[rack], brick);
+            self.publish(rack);
+        }
     }
 }
 
@@ -155,101 +225,132 @@ fn demand(kernel: u8) -> OffloadDemand {
     }
 }
 
+/// A tracked VM or offload session: the rack it lives on plus its handle.
+type OnRack<T> = (usize, T);
+
+fn is_compute(b: &Brick) -> bool {
+    b.as_compute().is_some()
+}
+
+fn is_memory(b: &Brick) -> bool {
+    b.as_memory().is_some()
+}
+
+fn is_accel(b: &Brick) -> bool {
+    b.as_accelerator().is_some()
+}
+
 /// Applies one op. Rejections and operations on fault-killed handles are
-/// deliberately tolerated: a restored system must mirror the original's
-/// behavior on the *whole* surface, errors included — the lockstep equality
-/// check after each step is what catches any divergence.
+/// deliberately tolerated: a restored federation must mirror the
+/// original's behavior on the *whole* surface, errors included — the
+/// lockstep equality check after each step is what catches any divergence.
 fn apply(
-    s: &mut DredboxSystem,
+    f: &mut Fleet,
     op: &Op,
-    live: &mut Vec<VmHandle>,
-    sessions: &mut Vec<OffloadSessionId>,
+    live: &mut Vec<OnRack<VmHandle>>,
+    sessions: &mut Vec<OnRack<OffloadSessionId>>,
 ) {
+    let racks = f.racks.len();
     match *op {
         Op::Admit { vcpus, gib } => {
-            if let Ok(outcome) = s.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                live.push(outcome.vm);
+            if let Some(placed) = f.admit(vcpus, ByteSize::from_gib(gib)) {
+                live.push(placed);
             }
         }
         Op::Release { pick } => {
             if live.is_empty() {
                 return;
             }
-            let vm = live.swap_remove(pick % live.len());
-            let _ = s.release_vm(vm);
+            let (rack, vm) = live.swap_remove(pick % live.len());
+            let _ = f.racks[rack].release_vm(vm);
+            f.publish(rack);
         }
-        Op::Migrate { pick, rack } => {
+        Op::Migrate { pick } => {
             if live.is_empty() {
                 return;
             }
-            let vm = live[pick % live.len()];
-            let to = RackId((rack % s.rack_count()) as u16);
-            let _ = s.migrate_vm_cross_rack(vm, to);
+            let (rack, vm) = live[pick % live.len()];
+            if let Some(to) = f.racks[rack].evacuation_target(vm) {
+                let _ = f.racks[rack].migrate_vm(vm, to);
+                f.publish(rack);
+            }
         }
         Op::Offload { pick, kernel } => {
             if live.is_empty() {
                 return;
             }
-            let vm = live[pick % live.len()];
-            if let Ok(report) = s.begin_offload(vm, &demand(kernel)) {
-                sessions.push(report.session);
+            let (rack, vm) = live[pick % live.len()];
+            if let Ok(report) = f.racks[rack].begin_offload(vm, &demand(kernel)) {
+                sessions.push((rack, report.session));
             }
+            f.publish(rack);
         }
         Op::EndOffload { pick } => {
             if sessions.is_empty() {
                 return;
             }
-            let session = sessions.swap_remove(pick % sessions.len());
-            let _ = s.end_offload(session);
+            let (rack, session) = sessions.swap_remove(pick % sessions.len());
+            let _ = f.racks[rack].end_offload(session);
+            f.publish(rack);
         }
-        Op::FaultCompute { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_compute().is_some()) {
-                let _ = s.fail_compute_brick(b);
-            }
-        }
-        Op::FaultMemory { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_memory().is_some()) {
-                let _ = s.fail_membrick(b);
-            }
-        }
-        Op::FaultAccel { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_accelerator().is_some()) {
-                let _ = s.fail_accel_brick(b);
-            }
-        }
+        Op::FaultCompute { pick } => f.on_brick(pick, is_compute, |s, b| {
+            let _ = s.fail_compute_brick(b);
+        }),
+        Op::FaultMemory { pick } => f.on_brick(pick, is_memory, |s, b| {
+            let _ = s.fail_membrick(b);
+        }),
+        Op::FaultAccel { pick } => f.on_brick(pick, is_accel, |s, b| {
+            let _ = s.fail_accel_brick(b);
+        }),
         Op::FaultLink { rack, ordinal } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            let _ = s.fail_link(rack, ordinal);
+            let _ = f.racks[rack % racks].fail_link(RackId(0), ordinal);
         }
         Op::FaultSwitch { rack } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            let _ = s.fail_switch(rack);
+            let _ = f.racks[rack % racks].fail_switch(RackId(0));
         }
-        Op::RepairCompute { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_compute().is_some()) {
-                let _ = s.repair_compute_brick(b);
-            }
-        }
-        Op::RepairMemory { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_memory().is_some()) {
-                let _ = s.repair_membrick(b);
-            }
-        }
-        Op::RepairAccel { pick } => {
-            if let Some(b) = brick(s, pick, |b| b.as_accelerator().is_some()) {
-                let _ = s.repair_accel_brick(b);
-            }
-        }
+        Op::RepairCompute { pick } => f.on_brick(pick, is_compute, |s, b| {
+            let _ = s.repair_compute_brick(b);
+        }),
+        Op::RepairMemory { pick } => f.on_brick(pick, is_memory, |s, b| {
+            let _ = s.repair_membrick(b);
+        }),
+        Op::RepairAccel { pick } => f.on_brick(pick, is_accel, |s, b| {
+            let _ = s.repair_accel_brick(b);
+        }),
         Op::RepairLink { rack, ordinal } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            s.repair_link(rack, ordinal);
+            f.racks[rack % racks].repair_link(RackId(0), ordinal);
         }
         Op::Reclaim => {
-            s.reclaim_orphans();
+            for rack in 0..racks {
+                f.racks[rack].reclaim_orphans();
+                f.publish(rack);
+            }
         }
         Op::Sweep => {
-            s.power_off_unused();
+            for rack in 0..racks {
+                f.racks[rack].power_off_unused();
+                f.publish(rack);
+            }
         }
+    }
+}
+
+/// Round-trips every rack through the wire format; the controller holds
+/// only published digests, so it carries over as is.
+fn thaw(fleet: &Fleet) -> Fleet {
+    let racks = fleet
+        .racks
+        .iter()
+        .map(|system| {
+            let bytes = SystemSnapshot::capture(system).to_bytes();
+            SystemSnapshot::from_bytes(&bytes)
+                .expect("valid stream decodes")
+                .into_system()
+        })
+        .collect();
+    Fleet {
+        racks,
+        controller: fleet.controller.clone(),
     }
 }
 
@@ -261,9 +362,9 @@ proptest! {
     fn restored_systems_replay_arbitrary_traces_bit_identically(
         ops in proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 2..40)
     ) {
-        let mut system = build();
-        let mut live: Vec<VmHandle> = Vec::new();
-        let mut sessions: Vec<OffloadSessionId> = Vec::new();
+        let mut system = Fleet::build();
+        let mut live = Vec::new();
+        let mut sessions = Vec::new();
 
         // Replay the trace prefix on the original alone.
         let split = ops.len() / 2;
@@ -271,21 +372,19 @@ proptest! {
             apply(&mut system, &decode(*tuple), &mut live, &mut sessions);
         }
 
-        // Round-trip through the wire format.
-        let bytes = SystemSnapshot::capture(&system).to_bytes();
-        let snap = SystemSnapshot::from_bytes(&bytes).expect("valid stream decodes");
-        let mut thawed = snap.into_system();
+        // Round-trip every rack through the wire format.
+        let mut thawed = thaw(&system);
         prop_assert_eq!(&thawed, &system);
 
         // Restored indexes must equal from-scratch rebuilds off the
         // restored per-brick state — no stale aggregates smuggled across.
-        for idx in 0..system.rack_count() {
-            let rack = RackId(idx as u16);
+        for (restored, original) in thawed.racks.iter().zip(&system.racks) {
+            let rack = RackId(0);
             prop_assert_eq!(
-                thawed.rebuild_rack_digest(rack),
-                system.rebuild_rack_digest(rack)
+                restored.rebuild_rack_digest(rack),
+                original.rebuild_rack_digest(rack)
             );
-            prop_assert_eq!(thawed.cluster().digest(rack), system.cluster().digest(rack));
+            prop_assert_eq!(restored.cluster().digest(rack), original.cluster().digest(rack));
         }
 
         // Drive both through the trace suffix in lockstep: every decision —
@@ -310,15 +409,17 @@ proptest! {
         ops in proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 0..8),
         cut in 0.0f64..1.0
     ) {
-        let mut system = build();
+        let mut fleet = Fleet::build();
         let mut live = Vec::new();
         let mut sessions = Vec::new();
         for tuple in &ops {
-            apply(&mut system, &decode(*tuple), &mut live, &mut sessions);
+            apply(&mut fleet, &decode(*tuple), &mut live, &mut sessions);
         }
-        let bytes = SystemSnapshot::capture(&system).to_bytes();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let len = ((bytes.len() - 1) as f64 * cut) as usize;
-        prop_assert!(SystemSnapshot::from_bytes(&bytes[..len]).is_err());
+        for system in &fleet.racks {
+            let bytes = SystemSnapshot::capture(system).to_bytes();
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let len = ((bytes.len() - 1) as f64 * cut) as usize;
+            prop_assert!(SystemSnapshot::from_bytes(&bytes[..len]).is_err());
+        }
     }
 }

@@ -137,43 +137,59 @@ fn power_model_is_consistent_with_packing_extremes() {
 #[test]
 fn fleet_power_feed_tracks_the_live_federation() {
     use dredbox::bricks::RackId;
+    use dredbox::orchestrator::ClusterController;
     use dredbox::prelude::*;
     use dredbox::sim::units::Watts;
     use dredbox::tco::FleetPower;
 
-    let config = dredbox::SystemConfig::datacenter_cluster(4, 2, 2, 2)
+    // Four single-rack systems under one cluster controller, fed each
+    // rack's published digest.
+    let config = dredbox::SystemConfig::datacenter_rack(2, 2, 2)
         .with_rack_power_budget(Some(Watts::new(3_000.0)));
-    let mut system = DredboxSystem::build(config).expect("build federation");
+    let mut racks: Vec<DredboxSystem> = (0..4)
+        .map(|_| DredboxSystem::build(config.clone()).expect("build rack"))
+        .collect();
+    let mut controller = ClusterController::new(config.placement);
+    controller.set_rack_budget(config.rack_power_budget);
+    let publish = |controller: &mut ClusterController, rack: usize, system: &DredboxSystem| {
+        let digest = *system.cluster().digest(RackId(0)).expect("published");
+        controller.upsert(RackId(rack as u16), digest);
+    };
+    for (rack, system) in racks.iter().enumerate() {
+        publish(&mut controller, rack, system);
+    }
+    let fleet_power = |controller: &ClusterController| {
+        FleetPower::new(controller.provisioned_per_rack(), controller.rack_budget())
+    };
 
     // Fully provisioned, every rack draws the same and the fleet total
     // matches the cluster controller's own aggregate.
-    let all_on = system.fleet_power();
+    let all_on = fleet_power(&controller);
     assert_eq!(all_on.racks(), 4);
     assert_eq!(all_on.budget, Some(Watts::new(3_000.0)));
     let total = all_on.total().as_watts();
-    assert!((total - system.cluster().provisioned_power().as_watts()).abs() < 1e-6);
+    assert!((total - controller.provisioned_power().as_watts()).abs() < 1e-6);
     assert_eq!(all_on.savings_vs_all_on(all_on.total()), 0.0);
 
-    // Load one rack, sweep the others: the shed draw shows up as savings
-    // against the all-on baseline, and the loaded rack is the peak.
-    let vm = system
+    // Load the routed rack, sweep the others: the shed draw shows up as
+    // savings against the all-on baseline, and the loaded rack is the peak.
+    let loaded = controller
+        .route(2, ByteSize::from_gib(2))
+        .rack
+        .map(|r| usize::from(r.0))
+        .expect("a rack admits");
+    racks[loaded]
         .allocate_vm(2, ByteSize::from_gib(2))
         .expect("admits");
-    let loaded = system
-        .vm_brick(vm)
-        .map(|b| system.rack_of(b))
-        .expect("placed");
-    for idx in 0..4u16 {
-        if RackId(idx) != loaded {
-            system.power_off_unused_in(RackId(idx));
+    for (rack, system) in racks.iter_mut().enumerate() {
+        if rack != loaded {
+            system.power_off_unused();
         }
+        publish(&mut controller, rack, system);
     }
-    let fleet: FleetPower = system.fleet_power();
+    let fleet = fleet_power(&controller);
     assert!(fleet.total().as_watts() < total);
-    assert_eq!(
-        fleet.peak_rack().map(|(idx, _)| idx),
-        Some(usize::from(loaded.0))
-    );
+    assert_eq!(fleet.peak_rack().map(|(idx, _)| idx), Some(loaded));
     assert!(fleet.savings_vs_all_on(all_on.total()) > 0.5);
     // Every rack now sits under the budget with real admission headroom.
     assert_eq!(fleet.racks_at_budget(), Vec::<usize>::new());
