@@ -27,7 +27,14 @@
 //! Cluster-tier operations that genuinely span racks — drain, rolling
 //! upgrade, fault recovery with cross-rack restarts, rebalance — run as
 //! *serial* events at epoch barriers, where the coordinator sees every
-//! rack world at once ([`ParallelWorld::handle_serial`]). The declared
+//! rack world at once ([`ParallelWorld::handle_serial`]). Faults run the
+//! rack world's one recovery protocol
+//! ([`FaultLedger`](super::world::FaultLedger)) on the struck rack: the
+//! coordinator holds the ledger and adds only cross-rack restarts of the
+//! guests that rack stranded, and a [`RackSink`] that routes the
+//! protocol's follow-ups to the struck rack's shard. The report, too, comes
+//! from the rack world's one builder, with the rack worlds folded in rack
+//! order. The declared
 //! channel latencies (front→rack: route + hop; rack→front: route; no
 //! rack→rack channel) give the conservative runner its lookahead: between
 //! control-interval ticks every rack advances a full epoch in parallel.
@@ -36,25 +43,23 @@
 //! multi-rack goldens are the proof that worker counts never leak into a
 //! report.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dredbox_bricks::{BrickId, RackId};
+use dredbox_bricks::RackId;
 use dredbox_orchestrator::{ClusterController, ClusterTimings};
-use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
+use dredbox_sim::fault::FailureSchedule;
 use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::{RunOutcome, ShardId};
-use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
 use dredbox_workload::VmDemand;
 
 use crate::snapshot::SystemSnapshot;
-use crate::system::{DredboxSystem, MigrationReport, VmHandle};
+use crate::system::{DredboxSystem, MigrationReport};
 
-use super::world::{Counters, ScenarioEvent, ScenarioWorld};
-use super::{AvailabilityStats, ClusterScenarioStats, ScenarioReport, ScenarioSpec};
+use super::world::{EventSink, FaultLedger, Guest, ScenarioEvent, ScenarioWorld};
+use super::{ClusterScenarioStats, ScenarioReport, ScenarioSpec};
 
 /// Shard 0: the cluster controller's admission front door.
 pub(super) struct FrontDoor {
@@ -87,11 +92,7 @@ impl FrontDoor {
         ctx.send(
             ShardId(1 + u32::from(rack.0)),
             now + self.timings.route + self.timings.hop,
-            ScenarioEvent::AdmitOn {
-                index,
-                rack: rack.0,
-                tried,
-            },
+            ScenarioEvent::AdmitOn { index, tried },
         );
     }
 
@@ -181,7 +182,7 @@ impl RackShard<'_> {
         ctx: &mut WorkerContext<'_, ScenarioEvent>,
     ) {
         match event {
-            ScenarioEvent::AdmitOn { index, tried, .. } => {
+            ScenarioEvent::AdmitOn { index, tried } => {
                 if !self.world.admit_routed(index, now, ctx) {
                     ctx.send(
                         ShardId(0),
@@ -241,6 +242,20 @@ impl WorldWorker for ClusterWorker<'_> {
     }
 }
 
+/// A serial barrier handler's [`EventSink`]: the coordinator's context
+/// aimed at one rack's shard, so the fault protocol's follow-ups land
+/// where that rack's world runs.
+pub(super) struct RackSink<'c, 's> {
+    ctx: &'c mut SerialContext<'s, ScenarioEvent>,
+    shard: ShardId,
+}
+
+impl EventSink for RackSink<'_, '_> {
+    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
+        self.ctx.schedule(self.shard, at, event);
+    }
+}
+
 /// The whole federation: front door plus one [`RackShard`] per rack,
 /// with the cluster-tier availability state held by the coordinator.
 pub(super) struct ClusterWorld<'a> {
@@ -250,17 +265,21 @@ pub(super) struct ClusterWorld<'a> {
     front: Option<FrontDoor>,
     /// `rack_shards[r]` is global rack `r`; `None` only while split.
     rack_shards: Vec<Option<RackShard<'a>>>,
-    /// The spec's seeded fault schedule; faults strike at epoch barriers
-    /// so recovery can restart guests across racks.
-    faults: FailureSchedule,
-    injector: FaultInjector,
-    availability: AvailabilityStats,
-    blast_radius_vms: Vec<f64>,
-    /// VMs lost to each outstanding fault, charged VM-seconds at repair.
-    lost_at: BTreeMap<FaultSite, u64>,
+    /// The replay's availability bookkeeping; faults strike at epoch
+    /// barriers so recovery can restart guests across racks.
+    ledger: FaultLedger,
     cross_rack_migrations: u64,
     racks_drained: u64,
     drain_stranded: u64,
+}
+
+/// Why a rack shard or the front door may be taken as home: serial
+/// events run at epoch barriers, after the engine reunited its workers.
+const HOME: &str = "the engine reunites workers before serial events";
+
+/// Rack `rack`'s world at a serial barrier.
+fn home<'s, 'a>(shards: &'s mut [Option<RackShard<'a>>], rack: usize) -> &'s mut ScenarioWorld<'a> {
+    &mut shards[rack].as_mut().expect(HOME).world
 }
 
 impl<'a> ClusterWorld<'a> {
@@ -308,13 +327,7 @@ impl<'a> ClusterWorld<'a> {
                 Some(RackShard {
                     rack: r as u16,
                     timings,
-                    world: ScenarioWorld::new(
-                        spec,
-                        system,
-                        Arc::clone(&demands),
-                        FailureSchedule::default(),
-                        rng,
-                    ),
+                    world: ScenarioWorld::new(spec, system, Arc::clone(&demands), rng),
                 })
             })
             .collect();
@@ -323,11 +336,7 @@ impl<'a> ClusterWorld<'a> {
             timings,
             front: Some(front),
             rack_shards,
-            faults,
-            injector: FaultInjector::new(),
-            availability: AvailabilityStats::default(),
-            blast_radius_vms: Vec::new(),
-            lost_at: BTreeMap::new(),
+            ledger: FaultLedger::new(faults),
             cross_rack_migrations: 0,
             racks_drained: 0,
             drain_stranded: 0,
@@ -341,7 +350,7 @@ impl<'a> ClusterWorld<'a> {
             .iter()
             .map(|s| {
                 s.as_ref()
-                    .expect("the engine reunites workers before serial events")
+                    .expect(HOME)
                     .world
                     .system
                     .pool_allocated()
@@ -352,57 +361,40 @@ impl<'a> ClusterWorld<'a> {
 
     /// Drains `source`: stops routing admissions to it and migrates every
     /// resident VM, in admission order, onto the best other rack per the
-    /// front door's digests. Nothing stays resident across racks: each
-    /// evacuee is placed fresh and pays a full copy. VMs no surviving rack
-    /// can hold stay put and count as stranded.
+    /// front door's digests. VMs no surviving rack can hold stay put and
+    /// count as stranded.
     fn evacuate_rack(
         &mut self,
         now: SimTime,
         source: u16,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
-        let spec = self.spec;
-        let front = self
-            .front
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
+        let front = self.front.as_mut().expect(HOME);
         front.controller.set_schedulable(RackId(source), false);
         self.racks_drained += 1;
         let src_idx = usize::from(source);
-        let mut src = self.rack_shards[src_idx]
-            .take()
-            .expect("the engine reunites workers before serial events");
+        let mut src = self.rack_shards[src_idx].take().expect(HOME);
         for vm in src.world.system.live_vms() {
-            let Some(vcpus) = src.world.system.vm_vcpus(vm) else {
+            let Some(guest) = src.world.guest(vm) else {
                 continue;
             };
-            let Some(memory) = src.world.system.vm_memory(vm) else {
-                continue;
-            };
-            let Some(from) = src.world.system.vm_brick(vm) else {
-                continue;
-            };
-            let placed = place_on_cluster(
+            let moved = restart_across_racks(
                 &front.controller,
                 &mut self.rack_shards,
                 RackId(source),
-                vcpus,
-                memory,
+                now,
+                &mut src.world,
+                guest,
+                ctx,
             );
-            let Some((dest, new_vm)) = placed else {
+            if moved.is_none() {
                 self.drain_stranded += 1;
                 continue;
-            };
+            }
             // The old handle's scheduled events decay into no-ops; the
-            // moved guest lives on under the fresh handle at `dest`.
+            // moved guest lives on under the fresh handle.
             let _ = src.world.system.release_vm(vm);
             src.world.counters.live -= 1;
-            let dest_shard = self.rack_shards[usize::from(dest.0)]
-                .as_mut()
-                .expect("the engine reunites workers before serial events");
-            book_cross_rack_move(
-                spec, now, &mut src, dest_shard, dest, vm, new_vm, from, vcpus, memory, ctx,
-            );
             self.cross_rack_migrations += 1;
         }
         src.world.sample_utilization();
@@ -420,306 +412,61 @@ impl<'a> ClusterWorld<'a> {
     ) {
         let allocated_before = self.pool_allocated();
         self.evacuate_rack(now, rack, ctx);
-        let idx = usize::from(rack);
-        {
-            let world = &mut self.rack_shards[idx]
-                .as_mut()
-                .expect("the engine reunites workers before serial events")
-                .world;
-            let bytes = SystemSnapshot::capture(&world.system).to_bytes();
-            self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
-            match SystemSnapshot::from_bytes(&bytes) {
-                Ok(snapshot) => {
-                    let restored = snapshot.into_system();
-                    if restored == world.system {
-                        world.system = restored;
-                    } else {
-                        self.availability.upgrade_restore_mismatches += 1;
-                    }
+        let stats = &mut self.ledger.stats;
+        let world = home(&mut self.rack_shards, usize::from(rack));
+        let bytes = SystemSnapshot::capture(&world.system).to_bytes();
+        stats.upgrade_snapshot_bytes += bytes.len() as u64;
+        match SystemSnapshot::from_bytes(&bytes) {
+            Ok(snapshot) => {
+                let restored = snapshot.into_system();
+                if restored == world.system {
+                    world.system = restored;
+                } else {
+                    stats.upgrade_restore_mismatches += 1;
                 }
-                Err(_) => self.availability.upgrade_restore_mismatches += 1,
             }
+            Err(_) => stats.upgrade_restore_mismatches += 1,
         }
         let allocated_after = self.pool_allocated();
-        self.availability.upgrade_lost_bytes += allocated_before.saturating_sub(allocated_after);
-        self.availability.upgrades += 1;
+        let stats = &mut self.ledger.stats;
+        stats.upgrade_lost_bytes += allocated_before.saturating_sub(allocated_after);
+        stats.upgrades += 1;
         self.front
             .as_mut()
-            .expect("the engine reunites workers before serial events")
+            .expect(HOME)
             .controller
             .undrain_rack(RackId(rack));
-        self.rack_shards[idx]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world
-            .sample_utilization();
+        home(&mut self.rack_shards, usize::from(rack)).sample_utilization();
     }
 
-    /// Delivers one planned fault at an epoch barrier. Rack-local damage
-    /// runs the single-rack recovery protocol inside the struck rack's
-    /// world; guests that rack can no longer hold are restarted on another
-    /// rack, placed here by the coordinator.
-    fn cluster_fault(
-        &mut self,
-        now: SimTime,
-        index: usize,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) {
-        let fault = self.faults.faults()[index];
-        if !self.injector.begin(fault.site, now) {
-            self.availability.faults_absorbed += 1;
-            return;
-        }
-        self.availability.faults_injected += 1;
-        let site = fault.site;
-        let struck = site.rack as usize;
-        let affected = match site.kind {
-            FaultKind::ComputeBrick => self.fault_compute(now, site, ctx),
-            FaultKind::MemoryBrick => self.fault_memory(now, site, ctx),
-            FaultKind::AccelBrick => self.fault_accel(now, site, ctx),
-            FaultKind::Link => {
-                let world = &mut self.rack_shards[struck]
-                    .as_mut()
-                    .expect("the engine reunites workers before serial events")
-                    .world;
-                if let Some(report) = world.system.fail_link(RackId(0), site.component) {
-                    self.availability.links_severed += 1;
-                    self.availability.circuits_rerouted += u64::from(report.rerouted);
-                    self.availability.circuits_lost += u64::from(report.lost);
-                }
-                Some(0)
-            }
-            FaultKind::Switch => {
-                let world = &mut self.rack_shards[struck]
-                    .as_mut()
-                    .expect("the engine reunites workers before serial events")
-                    .world;
-                if let Some(restored) = world.system.fail_switch(RackId(0)) {
-                    self.availability.switch_failovers += 1;
-                    self.availability.circuits_restored += restored as u64;
-                }
-                Some(0)
-            }
-        };
-        let Some(affected) = affected else {
-            return;
-        };
-        self.blast_radius_vms.push(affected as f64);
-        self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world
-            .sample_utilization();
+    /// Delivers the `index`-th planned fault at an epoch barrier through
+    /// the one recovery protocol, run on the struck rack's world. The
+    /// federation adds only a restart hook: guests that rack can no longer
+    /// hold restart on another rack, placed here by the coordinator.
+    fn strike(&mut self, now: SimTime, index: usize, ctx: &mut SerialContext<'_, ScenarioEvent>) {
+        let rack = self.ledger.site(index).rack;
+        let mut struck = self.rack_shards[rack as usize].take().expect(HOME);
+        let controller = &self.front.as_ref().expect(HOME).controller;
+        let others = &mut self.rack_shards;
+        self.ledger.strike(
+            now,
+            index,
+            &mut struck.world,
+            &mut |src: &mut ScenarioWorld<'_>, sink: &mut RackSink<'_, '_>, guest| {
+                let source = RackId(rack as u16);
+                restart_across_racks(controller, others, source, now, src, guest, sink.ctx)
+            },
+            &mut RackSink {
+                ctx,
+                shard: ShardId(1 + rack),
+            },
+        );
+        self.rack_shards[rack as usize] = Some(struck);
     }
 
-    /// A compute brick dies: sessions drop, guests migrate within the
-    /// rack where possible, and the rest restart on other racks chosen by
-    /// the front door's digests (truly lost only when no rack can hold
-    /// them).
-    fn fault_compute(
-        &mut self,
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let spec = self.spec;
-        let struck = site.rack as usize;
-        let mut src = self.rack_shards[struck]
-            .take()
-            .expect("the engine reunites workers before serial events");
-        let damage = (|| {
-            let brick = src.world.fault_brick(site.kind, site.component)?;
-            // Captured before the failure: who must be alive somewhere
-            // once recovery is done.
-            let residents: Vec<(VmHandle, u32, ByteSize)> = src
-                .world
-                .system
-                .vms_on(brick)
-                .into_iter()
-                .filter_map(|vm| {
-                    let vcpus = src.world.system.vm_vcpus(vm)?;
-                    let memory = src.world.system.vm_memory(vm)?;
-                    Some((vm, vcpus, memory))
-                })
-                .collect();
-            let report = src.world.system.fail_compute_brick(brick).ok()?;
-            Some((brick, residents, report))
-        })();
-        let Some((brick, residents, report)) = damage else {
-            self.rack_shards[struck] = Some(src);
-            return None;
-        };
-        self.availability.vm_migrations += u64::from(report.migrated);
-        self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-        self.availability.orphaned_bytes += report.orphaned.as_bytes();
-        src.world.counters.live -= u64::from(report.lost);
-        for migration in &report.reports {
-            src.world.record_migration(now, migration);
-            // Evacuation downtime is availability lost to the fault.
-            self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
-        }
-        // The single-rack system strands what it cannot re-home within the
-        // rack; the coordinator restarts those guests on other racks.
-        let front = self
-            .front
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        let mut restarted = 0u64;
-        let mut lost = 0u64;
-        for (vm, vcpus, memory) in residents {
-            if src.world.system.vm_brick(vm).is_some() {
-                // Survived in place or migrated within the rack.
-                continue;
-            }
-            let placed = place_on_cluster(
-                &front.controller,
-                &mut self.rack_shards,
-                RackId(site.rack as u16),
-                vcpus,
-                memory,
-            );
-            let Some((dest, new_vm)) = placed else {
-                lost += 1;
-                continue;
-            };
-            restarted += 1;
-            let dest_shard = self.rack_shards[usize::from(dest.0)]
-                .as_mut()
-                .expect("the engine reunites workers before serial events");
-            let downtime = book_cross_rack_move(
-                spec, now, &mut src, dest_shard, dest, vm, new_vm, brick, vcpus, memory, ctx,
-            );
-            self.availability.vm_seconds_lost += downtime.as_secs_f64();
-        }
-        self.availability.vm_restarts += restarted;
-        self.availability.vms_lost += lost;
-        if lost > 0 {
-            *self.lost_at.entry(site).or_default() += lost;
-        }
-        // Orphan detection runs as part of the recovery protocol: bytes
-        // stranded by dead guests (including the restarted ones' old
-        // segments) go back to the pool now.
-        let reclaim = src.world.system.reclaim_orphans();
-        self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
-        let affected = u64::from(report.migrated) + restarted + lost;
-        self.rack_shards[struck] = Some(src);
-        Some(affected)
-    }
-
-    /// A memory brick dies: segments vanish, affected guests restart
-    /// within the struck rack (memory faults never leave the rack — the
-    /// guest's compute brick survives in place).
-    fn fault_memory(
-        &mut self,
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let spec = self.spec;
-        let struck = site.rack as usize;
-        let shard = self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        let brick = shard.world.fault_brick(site.kind, site.component)?;
-        let report = shard.world.system.fail_membrick(brick).ok()?;
-        let affected = report.restarted.len() as u64 + u64::from(report.lost);
-        self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
-        self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-        self.availability.vm_restarts += report.restarted.len() as u64;
-        self.availability.vms_lost += u64::from(report.lost);
-        shard.world.counters.live -= u64::from(report.lost);
-        if report.lost > 0 {
-            *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-        }
-        // Each killed-and-readmitted guest restarts under a fresh handle:
-        // the old handle's scheduled events decay into no-ops, and the new
-        // guest gets its own departure on the struck shard.
-        for &(_, vm) in &report.restarted {
-            let lifetime = spec.lifetime.sample(&mut shard.world.rng);
-            ctx.schedule(
-                ShardId(1 + site.rack),
-                now + lifetime,
-                ScenarioEvent::Departure { vm },
-            );
-        }
-        Some(affected)
-    }
-
-    /// An accelerator brick dies: streaming sessions drain and their
-    /// owners retry once a surviving accelerator may pick them up.
-    fn fault_accel(
-        &mut self,
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let spec = self.spec;
-        let struck = site.rack as usize;
-        let shard = self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        let brick = shard.world.fault_brick(site.kind, site.component)?;
-        let report = shard.world.system.fail_accel_brick(brick).ok()?;
-        let affected = report.drained.len() as u64;
-        self.availability.sessions_dropped += report.drained.len() as u64;
-        if let Some(plan) = spec.offload {
-            for &(_, vm) in &report.drained {
-                ctx.schedule(
-                    ShardId(1 + site.rack),
-                    now + plan.start_after,
-                    ScenarioEvent::OffloadBegin { vm, remaining: 1 },
-                );
-            }
-        }
-        Some(affected)
-    }
-
-    /// Repairs one planned fault's site on the struck rack's world. A
-    /// repair for an absorbed fault is a no-op — the earlier fault's own
-    /// repair brings the site back.
-    fn cluster_repair(&mut self, now: SimTime, index: usize) {
-        let fault = self.faults.faults()[index];
-        let Some(outage) = self.injector.end(fault.site, now) else {
-            return;
-        };
-        self.availability.repairs += 1;
-        if let Some(lost) = self.lost_at.remove(&fault.site) {
-            // Lost guests were down for the whole outage.
-            self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
-        }
-        let site = fault.site;
-        let world = &mut self.rack_shards[site.rack as usize]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world;
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_compute_brick(brick);
-                }
-            }
-            FaultKind::MemoryBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_membrick(brick);
-                }
-            }
-            FaultKind::AccelBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_accel_brick(brick);
-                }
-            }
-            FaultKind::Link => {
-                let _ = world.system.repair_link(RackId(0), site.component);
-            }
-            // The switch fault self-healed onto the standby at injection.
-            FaultKind::Switch => {}
-        }
-        world.sample_utilization();
-    }
-
-    /// Assembles the cluster report: sample streams concatenate in rack
-    /// order (the canonical merge order), counters sum field-wise, and
-    /// the coordinator contributes the cluster-tier and availability
+    /// Assembles the cluster report through the one report builder: rack
+    /// worlds fold in rack order, the front door adds its final
+    /// rejections, and the coordinator the cluster-tier and availability
     /// telemetry.
     pub(super) fn finish(
         mut self,
@@ -728,211 +475,97 @@ impl<'a> ClusterWorld<'a> {
         events: u64,
     ) -> ScenarioReport {
         let front = self.front.take().expect("the run reunites the world");
-        let shards: Vec<RackShard<'a>> = self
+        let worlds: Vec<ScenarioWorld<'a>> = self
             .rack_shards
-            .drain(..)
-            .map(|s| s.expect("the run reunites the world"))
+            .into_iter()
+            .map(|s| s.expect("the run reunites the world").world)
             .collect();
-        let racks = shards.len();
-        let mut c = Counters::default();
-        let mut stats = ClusterScenarioStats {
-            racks: racks as u64,
+        // Every admission a rack world books arrived routed from the front
+        // door, and its sweeps are its only power-offs.
+        let stats = ClusterScenarioStats {
+            racks: worlds.len() as u64,
+            routed_admissions: worlds.iter().map(|w| w.counters.admitted).sum(),
             spillovers: front.spillovers,
             power_deferrals: front.power_deferrals,
             cross_rack_migrations: self.cross_rack_migrations,
             racks_drained: self.racks_drained,
             drain_stranded: self.drain_stranded,
-            admissions_per_rack: vec![0; racks],
-            power_off_per_rack: vec![0; racks],
-            ..ClusterScenarioStats::default()
+            admissions_per_rack: worlds.iter().map(|w| w.counters.admitted).collect(),
+            power_off_per_rack: worlds
+                .iter()
+                .map(|w| w.counters.bricks_powered_off)
+                .collect(),
         };
-        let mut peak_queue = 0u64;
-        let mut scale_up_delays_s = Vec::new();
-        let mut read_latencies_ns = Vec::new();
-        let mut utilization = Vec::new();
-        let mut migration_downtime_s = Vec::new();
-        let mut precopy_counterfactual_s = Vec::new();
-        let mut scaleout_counterfactual_s = Vec::new();
-        let mut control_plane_wait_s = Vec::new();
-        let mut offload_time_s = Vec::new();
-        let mut offload_local_counterfactual_s = Vec::new();
-        let mut accel_utilization = Vec::new();
-        for (r, shard) in shards.iter().enumerate() {
-            let w = &shard.world;
-            c.admitted += w.counters.admitted;
-            c.rejected += w.counters.rejected;
-            c.live += w.counters.live;
-            // Per-rack peaks need not align in time, so the sum is an
-            // upper bound on the true cluster-wide peak.
-            c.peak_live += w.counters.peak_live;
-            c.departed += w.counters.departed;
-            c.scale_ups += w.counters.scale_ups;
-            c.scale_up_failures += w.counters.scale_up_failures;
-            c.scale_downs += w.counters.scale_downs;
-            c.power_sweeps += w.counters.power_sweeps;
-            c.bricks_powered_off += w.counters.bricks_powered_off;
-            c.rebalances += w.counters.rebalances;
-            c.migrations += w.counters.migrations;
-            c.migration_failures += w.counters.migration_failures;
-            c.evacuations += w.counters.evacuations;
-            c.offloads += w.counters.offloads;
-            c.offload_failures += w.counters.offload_failures;
-            c.offloads_completed += w.counters.offloads_completed;
-            c.bitstream_reuses += w.counters.bitstream_reuses;
-            c.bitstream_programs += w.counters.bitstream_programs;
-            c.accel_wakes += w.counters.accel_wakes;
-            // Every admission a rack world books arrived routed from the
-            // front door, and its sweeps are its only power-offs.
-            stats.routed_admissions += w.counters.admitted;
-            stats.admissions_per_rack[r] = w.counters.admitted;
-            stats.power_off_per_rack[r] = w.counters.bricks_powered_off;
-            peak_queue = peak_queue.max(w.control_plane.peak_depth() as u64);
-            scale_up_delays_s.extend_from_slice(&w.scale_up_delays_s);
-            read_latencies_ns.extend_from_slice(&w.read_latencies_ns);
-            utilization.extend_from_slice(&w.utilization);
-            migration_downtime_s.extend_from_slice(&w.migration_downtime_s);
-            precopy_counterfactual_s.extend_from_slice(&w.precopy_counterfactual_s);
-            scaleout_counterfactual_s.extend_from_slice(&w.scaleout_counterfactual_s);
-            control_plane_wait_s.extend_from_slice(&w.control_plane_wait_s);
-            offload_time_s.extend_from_slice(&w.offload_time_s);
-            offload_local_counterfactual_s.extend_from_slice(&w.offload_local_counterfactual_s);
-            accel_utilization.extend_from_slice(&w.accel_utilization);
-        }
+        let mut worlds = worlds.into_iter();
+        let mut first = worlds.next().expect("a federation has racks");
         // Final rejections live at the front door; racks only ever bounce
         // requests back for another candidate.
-        c.rejected += front.rejected;
-        let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
-            let mut stats = self.availability;
-            stats.blast_radius = Summary::from_samples(&self.blast_radius_vms);
-            stats.mttr = Summary::from_samples(self.injector.mttr_samples());
-            Some(stats)
-        } else {
-            None
-        };
-        ScenarioReport {
-            name: self.spec.name.clone(),
-            outcome,
-            end,
-            events,
-            admitted: c.admitted,
-            rejected: c.rejected,
-            peak_live: c.peak_live,
-            departed: c.departed,
-            scale_ups: c.scale_ups,
-            scale_up_failures: c.scale_up_failures,
-            scale_downs: c.scale_downs,
-            power_sweeps: c.power_sweeps,
-            bricks_powered_off: c.bricks_powered_off,
-            rebalances: c.rebalances,
-            migrations: c.migrations,
-            migration_failures: c.migration_failures,
-            evacuations: c.evacuations,
-            offloads: c.offloads,
-            offload_failures: c.offload_failures,
-            offloads_completed: c.offloads_completed,
-            bitstream_reuses: c.bitstream_reuses,
-            bitstream_programs: c.bitstream_programs,
-            accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: peak_queue,
-            scale_up_delay: Summary::from_samples(&scale_up_delays_s),
-            read_latency: Summary::from_samples(&read_latencies_ns),
-            pool_utilization: Summary::from_samples(&utilization),
-            migration_downtime: Summary::from_samples(&migration_downtime_s),
-            precopy_counterfactual: Summary::from_samples(&precopy_counterfactual_s),
-            scaleout_counterfactual: Summary::from_samples(&scaleout_counterfactual_s),
-            control_plane_wait: Summary::from_samples(&control_plane_wait_s),
-            offload_time: Summary::from_samples(&offload_time_s),
-            offload_local_counterfactual: Summary::from_samples(&offload_local_counterfactual_s),
-            accel_utilization: Summary::from_samples(&accel_utilization),
-            cluster: Some(stats),
-            availability,
-            // The load-dependent data path is single-rack only (validated
-            // at spec level).
-            data_path: None,
-        }
+        first.counters.rejected += front.rejected;
+        first.finish(worlds, self.ledger, Some(stats), outcome, end, events)
     }
 }
 
-/// Picks the first rack (per the front door's spillover preference,
-/// excluding `exclude`) whose world actually admits the request, and
-/// places it there. `None` when no rack can hold it.
-fn place_on_cluster(
+/// Restarts `guest` of rack `source` (world `src`) on the first other
+/// rack, in the front door's spillover preference, whose world admits it,
+/// and books the move: the destination schedules the fresh guest's
+/// departure and tracks its liveness, and the source records the
+/// migration — its SDM controller orchestrated the hand-off, so it owns
+/// the control-plane charge. Nothing stays resident across racks, so the
+/// move pays a conventional full copy plus the destination's admission
+/// orchestration. Returns that downtime, or `None` when no rack can hold
+/// the guest.
+fn restart_across_racks(
     controller: &ClusterController,
     rack_shards: &mut [Option<RackShard<'_>>],
-    exclude: RackId,
-    vcpus: u32,
-    memory: ByteSize,
-) -> Option<(RackId, VmHandle)> {
-    for dest in controller.spillover_order(vcpus, memory, Some(exclude)) {
-        let shard = rack_shards[usize::from(dest.0)]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        if let Ok(vm) = shard.world.system.allocate_vm(vcpus, memory) {
-            return Some((dest, vm));
-        }
-    }
-    None
-}
-
-/// Books one coordinator-driven cross-rack move: the destination world
-/// schedules the fresh guest's departure (and tracks its liveness), the
-/// source world records the migration — its SDM controller orchestrated
-/// the hand-off, so it owns the control-plane charge. Returns the
-/// migration's downtime.
-#[allow(clippy::too_many_arguments)]
-fn book_cross_rack_move(
-    spec: &ScenarioSpec,
+    source: RackId,
     now: SimTime,
-    src: &mut RackShard<'_>,
-    dest_shard: &mut RackShard<'_>,
-    dest: RackId,
-    vm: VmHandle,
-    new_vm: VmHandle,
-    from: BrickId,
-    vcpus: u32,
-    memory: ByteSize,
+    src: &mut ScenarioWorld<'_>,
+    guest: Guest,
     ctx: &mut SerialContext<'_, ScenarioEvent>,
-) -> SimDuration {
-    let to = dest_shard
-        .world
+) -> Option<SimDuration> {
+    let (dest, new_vm) = controller
+        .spillover_order(guest.vcpus, guest.memory, Some(source))
+        .into_iter()
+        .find_map(|dest| {
+            let world = home(rack_shards, usize::from(dest.0));
+            Some((
+                dest,
+                world.system.allocate_vm(guest.vcpus, guest.memory).ok()?,
+            ))
+        })?;
+    let world = home(rack_shards, usize::from(dest.0));
+    let to = world
         .system
         .vm_brick(new_vm)
         .expect("freshly placed VM is resident");
-    let orchestration = dest_shard
-        .world
+    let orchestration = world
         .system
         .admission_service_time(new_vm)
         .unwrap_or_default();
-    dest_shard.world.counters.live += 1;
-    dest_shard.world.counters.peak_live = dest_shard
-        .world
-        .counters
-        .peak_live
-        .max(dest_shard.world.counters.live);
-    let lifetime = spec.lifetime.sample(&mut dest_shard.world.rng);
+    world.counters.live += 1;
+    world.counters.peak_live = world.counters.peak_live.max(world.counters.live);
+    let lifetime = world.spec.lifetime.sample(&mut world.rng);
     ctx.schedule(
         ShardId(1 + u32::from(dest.0)),
         now + lifetime,
         ScenarioEvent::Departure { vm: new_vm },
     );
-    // Cross-rack moves cannot preserve pooled memory across the fabric
-    // boundary: a conventional full copy plus the destination's admission
-    // orchestration.
-    let full_copy = spec.system.migration.conventional_migration(memory);
+    let migration = &src.spec.system.migration;
+    let full_copy = migration.conventional_migration(guest.memory);
     let report = MigrationReport {
-        vm,
-        from,
+        vm: guest.vm,
+        from: guest.from,
         to,
         from_rack: RackId(0),
         to_rack: dest,
-        moved_local_state: spec.system.migration.local_state(vcpus),
+        moved_local_state: migration.local_state(guest.vcpus),
         preserved_memory: ByteSize::ZERO,
         orchestration_delay: orchestration,
         downtime: full_copy + orchestration,
         conventional_precopy: full_copy,
     };
-    src.world.record_migration(now, &report);
-    report.downtime
+    src.record_migration(now, &report);
+    Some(report.downtime)
 }
 
 impl<'a> ParallelWorld for ClusterWorld<'a> {
@@ -993,15 +626,16 @@ impl<'a> ParallelWorld for ClusterWorld<'a> {
         match event {
             ScenarioEvent::DrainRack { rack } => self.evacuate_rack(now, rack, ctx),
             ScenarioEvent::UpgradeRack { rack } => self.upgrade_rack(now, rack, ctx),
-            ScenarioEvent::Fault { index } => self.cluster_fault(now, index, ctx),
-            ScenarioEvent::Repair { index } => self.cluster_repair(now, index),
+            ScenarioEvent::Fault { index } => self.strike(now, index, ctx),
+            ScenarioEvent::Repair { index } => {
+                let rack = self.ledger.site(index).rack as usize;
+                self.ledger
+                    .repair(now, index, home(&mut self.rack_shards, rack));
+            }
             ScenarioEvent::Rebalance => {
                 if let Some(policy) = self.spec.migration {
-                    for slot in &mut self.rack_shards {
-                        let world = &mut slot
-                            .as_mut()
-                            .expect("the engine reunites workers before serial events")
-                            .world;
+                    for rack in 0..self.rack_shards.len() {
+                        let world = home(&mut self.rack_shards, rack);
                         world.rebalance(now, policy);
                         world.sample_utilization();
                     }

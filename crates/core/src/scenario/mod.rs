@@ -127,7 +127,7 @@ use crate::system::{DredboxSystem, SystemError};
 pub use datapath::{DataPathConfig, DataPathStats, Granularity, ReadProfile, RemoteCacheConfig};
 pub use dredbox_interconnect::ContentionConfig;
 
-use world::{ScenarioEvent, ScenarioWorld};
+use world::{FaultLedger, RackReplay, ScenarioEvent, ScenarioWorld};
 
 /// Which generator a scenario draws its per-VM demands from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1003,23 +1003,10 @@ impl ScenarioSpec {
             );
         }
         // Fork order is part of the replay contract: demands (1), arrivals
-        // (2), world (3), faults (4). The fault fork is only drawn when the
-        // spec injects faults, so every pre-existing spec's streams — and
-        // goldens — are untouched.
+        // (2), world (3), faults (4).
         let world_rng = rng.fork(3);
-        let faults = match &self.faults {
-            Some(plan) => {
-                let sites = SiteCounts {
-                    compute: u32::from(self.system.trays) * u32::from(self.system.compute_per_tray),
-                    memory: u32::from(self.system.trays) * u32::from(self.system.memory_per_tray),
-                    accel: u32::from(self.system.trays) * u32::from(self.system.accel_per_tray),
-                    links: system.topology().manager().cabled_count() as u32,
-                    switches: 1,
-                };
-                FailureSchedule::generate(plan, 1, sites, &mut rng.fork(4))
-            }
-            None => FailureSchedule::default(),
-        };
+        let links = system.topology().manager().cabled_count() as u32;
+        let faults = self.fault_schedule(1, links, &mut rng);
         for (index, fault) in faults.faults().iter().enumerate() {
             engine.schedule(ShardId(0), fault.at, ScenarioEvent::Fault { index });
             engine.schedule(
@@ -1029,9 +1016,19 @@ impl ScenarioSpec {
             );
         }
 
-        let mut world = ScenarioWorld::new(self, system, demands, faults, world_rng);
-        let outcome = engine.run(&mut world);
-        Ok(world.finish(outcome, engine.now(), engine.processed()))
+        let mut replay = RackReplay {
+            world: ScenarioWorld::new(self, system, demands, world_rng),
+            ledger: FaultLedger::new(faults),
+        };
+        let outcome = engine.run(&mut replay);
+        Ok(replay.world.finish(
+            [],
+            replay.ledger,
+            None,
+            outcome,
+            engine.now(),
+            engine.processed(),
+        ))
     }
 
     /// The multi-rack replay: the federation partitions into one
@@ -1058,19 +1055,8 @@ impl ScenarioSpec {
         // (2), world (3) — sub-forked per rack, in rack order — faults (4).
         let mut world_rng = rng.fork(3);
         let rack_rngs: Vec<SimRng> = (0..racks).map(|r| world_rng.fork(r as u64)).collect();
-        let faults = match &self.faults {
-            Some(plan) => {
-                let sites = SiteCounts {
-                    compute: u32::from(self.system.trays) * u32::from(self.system.compute_per_tray),
-                    memory: u32::from(self.system.trays) * u32::from(self.system.memory_per_tray),
-                    accel: u32::from(self.system.trays) * u32::from(self.system.accel_per_tray),
-                    links: rack_systems[0].topology().manager().cabled_count() as u32,
-                    switches: 1,
-                };
-                FailureSchedule::generate(plan, racks as u32, sites, &mut rng.fork(4))
-            }
-            None => FailureSchedule::default(),
-        };
+        let links = rack_systems[0].topology().manager().cabled_count() as u32;
+        let faults = self.fault_schedule(racks as u32, links, rng);
 
         let timings = ClusterTimings::dredbox_default();
         // Shard 0 is the front door; shard 1 + r is rack r.
@@ -1140,6 +1126,25 @@ impl ScenarioSpec {
         );
         let outcome = engine.run_threaded(&mut world, threads.max(1));
         Ok(world.finish(outcome, engine.now(), engine.processed()))
+    }
+
+    /// The spec's seeded fault schedule over `racks` racks of `links`
+    /// cabled fibres each, drawn from fork 4 of the replay rng. The fork
+    /// is only drawn when the spec injects faults, so every fault-free
+    /// spec's streams — and goldens — are untouched.
+    fn fault_schedule(&self, racks: u32, links: u32, rng: &mut SimRng) -> FailureSchedule {
+        let Some(plan) = &self.faults else {
+            return FailureSchedule::default();
+        };
+        let per_rack = |per_tray: u16| u32::from(self.system.trays) * u32::from(per_tray);
+        let sites = SiteCounts {
+            compute: per_rack(self.system.compute_per_tray),
+            memory: per_rack(self.system.memory_per_tray),
+            accel: per_rack(self.system.accel_per_tray),
+            links,
+            switches: 1,
+        };
+        FailureSchedule::generate(plan, racks, sites, &mut rng.fork(4))
     }
 
     /// Rejects parameter combinations the trace generators would panic on,

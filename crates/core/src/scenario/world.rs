@@ -2,11 +2,12 @@
 //! drives.
 //!
 //! This module is the state-machine half of the scenario engine: the
-//! [`ScenarioEvent`] alphabet, the per-replay [`Counters`], and
-//! [`ScenarioWorld`] — the [`ShardedProcess`] implementation that turns
-//! each popped event into calls on its single-rack [`DredboxSystem`] and
-//! schedules the follow-ups. The spec/report half lives in the parent
-//! module.
+//! [`ScenarioEvent`] alphabet, the per-replay [`Counters`],
+//! [`ScenarioWorld`] — which turns each popped event into calls on its
+//! single-rack [`DredboxSystem`] and schedules the follow-ups — the
+//! [`FaultLedger`] that runs the one fault-recovery protocol, and
+//! [`RackReplay`], the [`ShardedProcess`] a single-rack scenario replays.
+//! The spec/report half lives in the parent module.
 //!
 //! Hot-path discipline: the world never clones system state per event —
 //! VM and hypervisor records are interned in slab arenas inside
@@ -26,13 +27,27 @@
 //! later the rack's own SDM controller admits (or spills back to the front
 //! door). Every follow-up of the VM's life is rack-local, so a worker
 //! thread drives the rack without sharing mutable state; operations that
-//! span racks (drains, upgrades, cross-rack fault recovery) run in the
-//! cluster world, never here.
+//! span racks (drains, upgrades, cross-rack restarts) run in the cluster
+//! world, never here.
+//!
+//! ## One fault protocol, one report builder
+//!
+//! Each fault kind has one strike-and-recover path and one repair path,
+//! [`FaultLedger::strike`] and [`FaultLedger::repair`], written over the
+//! struck rack's world. The ledger holds a replay's availability
+//! bookkeeping (fault schedule, injector, stats, blast-radius samples,
+//! VMs lost per outstanding fault) in one place: in the [`RackReplay`] for
+//! one rack, in the coordinator for a federation, so its `f64` sums add
+//! up in event order. A federation contributes only a restart hook for
+//! compute-fault guests the struck rack stranded (a single rack has
+//! nowhere else to go) and an [`EventSink`] aimed at the struck rack's
+//! shard. Likewise [`ScenarioWorld::finish`] is the one report builder: a
+//! federation folds its other rack worlds into the first.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dredbox_bricks::{BrickId, RackId};
+use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::parallel::WorkerContext;
@@ -47,7 +62,10 @@ use dredbox_workload::VmDemand;
 use crate::system::{DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle};
 
 use super::datapath::DataPathState;
-use super::{AvailabilityStats, ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
+use super::{
+    AvailabilityStats, ChurnModel, ClusterScenarioStats, MigrationPolicy, ScenarioReport,
+    ScenarioSpec,
+};
 
 /// Events driving one scenario replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +74,11 @@ pub(super) enum ScenarioEvent {
     /// (single-rack systems only — on a federated cluster the front door
     /// holds the arrival trace and emits [`ScenarioEvent::AdmitOn`]).
     Arrival { index: usize },
-    /// A routed admission lands on `rack`'s SDM controller, one
-    /// control-network hop after the front door routed it. `tried` is the
-    /// bitmask of racks that already rejected this request, so a spillover
-    /// never revisits one.
-    AdmitOn { index: usize, rack: u16, tried: u64 },
+    /// A routed admission lands on the receiving rack's SDM controller,
+    /// one control-network hop after the front door routed it. `tried` is
+    /// the bitmask of racks that already rejected this request, so a
+    /// spillover never revisits one.
+    AdmitOn { index: usize, tried: u64 },
     /// A rack rejected a routed admission: the request returns to the
     /// front door, which picks the next candidate off `tried`.
     SpillOver { index: usize, tried: u64 },
@@ -106,9 +124,11 @@ pub(super) enum ScenarioEvent {
     /// [`MigrationPolicy`].
     Rebalance,
     /// The `index`-th fault of the spec's seeded
-    /// [`FailureSchedule`] strikes its site.
+    /// [`FailureSchedule`] strikes its site (handled by the replay's
+    /// [`FaultLedger`], never by a rack world's dispatch).
     Fault { index: usize },
-    /// The field engineer repairs the `index`-th fault's site.
+    /// The field engineer repairs the `index`-th fault's site (likewise
+    /// handled by the [`FaultLedger`]).
     Repair { index: usize },
     /// One stage of the spec's [`UpgradePlan`](super::UpgradePlan): drain
     /// `rack`, snapshot the controller, restore it bit-identically and
@@ -144,6 +164,34 @@ pub(super) struct Counters {
     pub(super) accel_wakes: u64,
 }
 
+impl std::ops::AddAssign for Counters {
+    /// Field-wise sum, folding one rack's counters into a federation's.
+    fn add_assign(&mut self, other: Counters) {
+        self.admitted += other.admitted;
+        self.rejected += other.rejected;
+        self.live += other.live;
+        // Per-rack peaks need not align in time, so the sum is an upper
+        // bound on the true cluster-wide peak.
+        self.peak_live += other.peak_live;
+        self.departed += other.departed;
+        self.scale_ups += other.scale_ups;
+        self.scale_up_failures += other.scale_up_failures;
+        self.scale_downs += other.scale_downs;
+        self.power_sweeps += other.power_sweeps;
+        self.bricks_powered_off += other.bricks_powered_off;
+        self.rebalances += other.rebalances;
+        self.migrations += other.migrations;
+        self.migration_failures += other.migration_failures;
+        self.evacuations += other.evacuations;
+        self.offloads += other.offloads;
+        self.offload_failures += other.offload_failures;
+        self.offloads_completed += other.offloads_completed;
+        self.bitstream_reuses += other.bitstream_reuses;
+        self.bitstream_programs += other.bitstream_programs;
+        self.accel_wakes += other.accel_wakes;
+    }
+}
+
 /// The remote-read transfer sizes the per-arrival read charges draw from.
 const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
 
@@ -152,11 +200,11 @@ const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
 /// The same world logic runs under three drivers: the serial
 /// [`ShardedEngine`](dredbox_sim::shard::ShardedEngine) loop
 /// ([`ShardContext`]), a worker thread of the threaded runner
-/// ([`WorkerContext`]), and a coordinator-side staging buffer used while a
-/// serial barrier event manipulates several rack worlds at once (a plain
-/// `Vec` the caller forwards to the right shard afterwards).
+/// ([`WorkerContext`]), and a federation's serial barrier handler, whose
+/// coordinator context is aimed at the struck rack's shard
+/// ([`RackSink`](super::cluster::RackSink)).
 pub(super) trait EventSink {
-    /// Schedules a follow-up on the shard that dispatched the event.
+    /// Schedules a follow-up on the rack's own shard.
     fn schedule(&mut self, at: SimTime, event: ScenarioEvent);
 }
 
@@ -169,12 +217,6 @@ impl EventSink for ShardContext<'_, ScenarioEvent> {
 impl EventSink for WorkerContext<'_, ScenarioEvent> {
     fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
         WorkerContext::schedule(self, at, event);
-    }
-}
-
-impl EventSink for Vec<(SimTime, ScenarioEvent)> {
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
-        self.push((at, event));
     }
 }
 
@@ -207,19 +249,6 @@ pub(super) struct ScenarioWorld<'a> {
     pub(super) offload_time_s: Vec<f64>,
     pub(super) offload_local_counterfactual_s: Vec<f64>,
     pub(super) accel_utilization: Vec<f64>,
-    /// The spec's seeded fault schedule (empty when the spec has none);
-    /// [`ScenarioEvent::Fault`]/[`ScenarioEvent::Repair`] index into it.
-    pub(super) faults: FailureSchedule,
-    /// Which sites are down and the MTTR samples collected so far.
-    pub(super) injector: FaultInjector,
-    /// Availability telemetry; reported only when the spec injects faults
-    /// or runs a rolling upgrade.
-    pub(super) availability: AvailabilityStats,
-    /// VMs affected per struck fault (blast radius samples).
-    pub(super) blast_radius_vms: Vec<f64>,
-    /// VMs lost to each currently-outstanding fault, so the repair can
-    /// charge VM-seconds lost over the whole outage.
-    pub(super) lost_at: BTreeMap<FaultSite, u64>,
 }
 
 impl<'a> ScenarioWorld<'a> {
@@ -230,7 +259,6 @@ impl<'a> ScenarioWorld<'a> {
         spec: &'a ScenarioSpec,
         system: DredboxSystem,
         demands: Arc<Vec<VmDemand>>,
-        faults: FailureSchedule,
         rng: SimRng,
     ) -> Self {
         let penalty = spec.system.sdm_timings.queued_request_penalty;
@@ -265,18 +293,13 @@ impl<'a> ScenarioWorld<'a> {
             offload_time_s: Vec::new(),
             offload_local_counterfactual_s: Vec::new(),
             accel_utilization: Vec::new(),
-            faults,
-            injector: FaultInjector::new(),
-            availability: AvailabilityStats::default(),
-            blast_radius_vms: Vec::new(),
-            lost_at: BTreeMap::new(),
         }
     }
 
     /// Maps a fault site's rack-relative ordinal onto the `component`-th
     /// brick of its kind in the rack (wrapped, so any schedule value names
     /// a real brick). `None` for kinds the rack has no bricks of.
-    pub(super) fn fault_brick(&self, kind: FaultKind, component: u32) -> Option<BrickId> {
+    fn fault_brick(&self, kind: FaultKind, component: u32) -> Option<BrickId> {
         let ids: Vec<BrickId> = self
             .system
             .rack()
@@ -294,6 +317,16 @@ impl<'a> ScenarioWorld<'a> {
         } else {
             Some(ids[component as usize % ids.len()])
         }
+    }
+
+    /// `vm` as a [`Guest`] that may leave the rack; `None` if it is gone.
+    pub(super) fn guest(&self, vm: VmHandle) -> Option<Guest> {
+        Some(Guest {
+            vm,
+            from: self.system.vm_brick(vm)?,
+            vcpus: self.system.vm_vcpus(vm)?,
+            memory: self.system.vm_memory(vm)?,
+        })
     }
 
     /// The single accessor every remote-read latency draw goes through.
@@ -554,176 +587,56 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// Delivers one planned fault to its site and runs the system's
-    /// recovery protocol, charging everything the availability report
-    /// tracks. A fault striking an already-down site is absorbed.
-    fn handle_fault<S: EventSink>(&mut self, now: SimTime, index: usize, ctx: &mut S) {
-        let fault = self.faults.faults()[index];
-        if !self.injector.begin(fault.site, now) {
-            self.availability.faults_absorbed += 1;
-            return;
-        }
-        self.availability.faults_injected += 1;
-        let site = fault.site;
-        let rack = RackId(site.rack as u16);
-        let mut affected = 0u64;
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_compute_brick(brick) else {
-                    return;
-                };
-                affected = u64::from(report.migrated + report.lost);
-                self.availability.vm_migrations += u64::from(report.migrated);
-                self.availability.vms_lost += u64::from(report.lost);
-                self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-                self.availability.orphaned_bytes += report.orphaned.as_bytes();
-                self.counters.live -= u64::from(report.lost);
-                if report.lost > 0 {
-                    *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-                }
-                for migration in &report.reports {
-                    self.record_migration(now, migration);
-                    // Evacuation downtime is availability lost to the fault.
-                    self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
-                }
-                // Orphan detection runs as part of the recovery protocol:
-                // stranded guests are dead either way, their bytes go back
-                // to the pool now.
-                let reclaim = self.system.reclaim_orphans();
-                self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
-            }
-            FaultKind::MemoryBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_membrick(brick) else {
-                    return;
-                };
-                affected = report.restarted.len() as u64 + u64::from(report.lost);
-                self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
-                self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-                self.availability.vm_restarts += report.restarted.len() as u64;
-                self.availability.vms_lost += u64::from(report.lost);
-                self.counters.live -= u64::from(report.lost);
-                if report.lost > 0 {
-                    *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-                }
-                // Each killed-and-readmitted guest restarts under a fresh
-                // handle: the old handle's scheduled events decay into
-                // NoSuchVm no-ops, and the new guest gets its own departure.
-                for &(_, vm) in &report.restarted {
-                    let lifetime = self.spec.lifetime.sample(&mut self.rng);
-                    ctx.schedule(now + lifetime, ScenarioEvent::Departure { vm });
-                }
-            }
-            FaultKind::AccelBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_accel_brick(brick) else {
-                    return;
-                };
-                affected = report.drained.len() as u64;
-                self.availability.sessions_dropped += report.drained.len() as u64;
-                // Each drained session's owner retries the offload once a
-                // surviving accelerator may pick it up.
-                if let Some(plan) = self.spec.offload {
-                    for &(_, vm) in &report.drained {
-                        ctx.schedule(
-                            now + plan.start_after,
-                            ScenarioEvent::OffloadBegin { vm, remaining: 1 },
-                        );
-                    }
-                }
-            }
-            FaultKind::Link => {
-                if let Some(report) = self.system.fail_link(rack, site.component) {
-                    self.availability.links_severed += 1;
-                    self.availability.circuits_rerouted += u64::from(report.rerouted);
-                    self.availability.circuits_lost += u64::from(report.lost);
-                }
-            }
-            FaultKind::Switch => {
-                if let Some(restored) = self.system.fail_switch(rack) {
-                    self.availability.switch_failovers += 1;
-                    self.availability.circuits_restored += restored as u64;
-                }
-            }
-        }
-        self.blast_radius_vms.push(affected as f64);
-        self.sample_utilization();
-    }
-
-    /// Repairs one planned fault's site. A repair for a fault that was
-    /// absorbed (site already down under an earlier fault) is a no-op —
-    /// the earlier fault's own repair brings the site back.
-    fn handle_repair(&mut self, now: SimTime, index: usize) {
-        let fault = self.faults.faults()[index];
-        let Some(outage) = self.injector.end(fault.site, now) else {
-            return;
-        };
-        self.availability.repairs += 1;
-        if let Some(lost) = self.lost_at.remove(&fault.site) {
-            // Lost guests were down for the whole outage.
-            self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
-        }
-        let site = fault.site;
-        let rack = RackId(site.rack as u16);
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_compute_brick(brick);
-                }
-            }
-            FaultKind::MemoryBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_membrick(brick);
-                }
-            }
-            FaultKind::AccelBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_accel_brick(brick);
-                }
-            }
-            FaultKind::Link => {
-                let _ = self.system.repair_link(rack, site.component);
-            }
-            // The switch fault self-healed onto the standby at injection.
-            FaultKind::Switch => {}
-        }
-        self.sample_utilization();
-    }
-
-    /// Assembles the report once the engine stops.
-    pub(super) fn finish(
+    /// Assembles the report once the engine stops — the one report
+    /// builder of both replay paths. A federation folds its other rack
+    /// worlds in first (`others`, in rack order, the canonical merge
+    /// order): counters sum field-wise, sample series concatenate, and
+    /// the control-plane peak is the deepest rack's. The availability
+    /// block exists only on specs that inject faults or run a rolling
+    /// upgrade, and the data-path block only on specs that configure the
+    /// load-dependent model, so every other report (and golden) keeps its
+    /// shape.
+    pub(super) fn finish<'o>(
         mut self,
+        others: impl IntoIterator<Item = ScenarioWorld<'o>>,
+        ledger: FaultLedger,
+        cluster: Option<ClusterScenarioStats>,
         outcome: RunOutcome,
         end: SimTime,
         events: u64,
     ) -> ScenarioReport {
+        let mut peak_queue = self.control_plane.peak_depth();
+        for mut other in others {
+            self.counters += other.counters;
+            peak_queue = peak_queue.max(other.control_plane.peak_depth());
+            self.scale_up_delays_s.append(&mut other.scale_up_delays_s);
+            self.read_latencies_ns.append(&mut other.read_latencies_ns);
+            self.utilization.append(&mut other.utilization);
+            self.migration_downtime_s
+                .append(&mut other.migration_downtime_s);
+            self.precopy_counterfactual_s
+                .append(&mut other.precopy_counterfactual_s);
+            self.scaleout_counterfactual_s
+                .append(&mut other.scaleout_counterfactual_s);
+            self.control_plane_wait_s
+                .append(&mut other.control_plane_wait_s);
+            self.offload_time_s.append(&mut other.offload_time_s);
+            self.offload_local_counterfactual_s
+                .append(&mut other.offload_local_counterfactual_s);
+            self.accel_utilization.append(&mut other.accel_utilization);
+        }
         let c = self.counters;
-        // The data-path block only exists on specs that configure the
-        // load-dependent model; every pre-existing report (and golden)
-        // stays byte-identical.
         let read_latency = Summary::from_samples(&self.read_latencies_ns);
         let data_path = self
             .data_path
             .take()
             .map(|dp| dp.finish(read_latency.as_ref()));
-        // The availability block only exists on specs that inject faults
-        // or run a rolling upgrade; every pre-existing report (and golden)
-        // stays byte-identical.
-        let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
-            let mut stats = self.availability;
-            stats.blast_radius = Summary::from_samples(&self.blast_radius_vms);
-            stats.mttr = Summary::from_samples(self.injector.mttr_samples());
-            Some(stats)
-        } else {
-            None
-        };
+        let availability = (self.spec.faults.is_some() || self.spec.upgrade.is_some()).then(|| {
+            let mut stats = ledger.stats;
+            stats.blast_radius = Summary::from_samples(&ledger.blast_radius_vms);
+            stats.mttr = Summary::from_samples(ledger.injector.mttr_samples());
+            stats
+        });
         ScenarioReport {
             name: self.spec.name.clone(),
             outcome,
@@ -748,7 +661,7 @@ impl<'a> ScenarioWorld<'a> {
             bitstream_reuses: c.bitstream_reuses,
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: self.control_plane.peak_depth() as u64,
+            control_plane_peak_queue: peak_queue as u64,
             scale_up_delay: Summary::from_samples(&self.scale_up_delays_s),
             read_latency,
             pool_utilization: Summary::from_samples(&self.utilization),
@@ -761,15 +674,236 @@ impl<'a> ScenarioWorld<'a> {
                 &self.offload_local_counterfactual_s,
             ),
             accel_utilization: Summary::from_samples(&self.accel_utilization),
-            // The cluster tier reports from the partitioned cluster world.
-            cluster: None,
+            cluster,
             availability,
             data_path,
         }
     }
 }
 
-impl ShardedProcess for ScenarioWorld<'_> {
+/// A guest leaving its rack (stranded by a compute fault, or evacuated
+/// by a drain): its old handle, the brick it ran on, and the footprint
+/// its new home must find room for.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Guest {
+    pub(super) vm: VmHandle,
+    pub(super) from: BrickId,
+    pub(super) vcpus: u32,
+    pub(super) memory: ByteSize,
+}
+
+/// Restarts a compute-fault guest the struck rack (whose world comes
+/// first) could not re-home within itself, returning the restart's
+/// downtime, or `None` when nowhere can hold the guest and it is lost. A
+/// single rack has nowhere else to go and passes `&mut |_, _, _| None`.
+pub(super) type Restart<'r, S> =
+    dyn FnMut(&mut ScenarioWorld<'_>, &mut S, Guest) -> Option<SimDuration> + 'r;
+
+/// The availability bookkeeping of one replay, and the one recovery
+/// protocol that charges it.
+#[derive(Default)]
+pub(super) struct FaultLedger {
+    /// The spec's seeded fault schedule (empty when the spec has none);
+    /// [`ScenarioEvent::Fault`]/[`ScenarioEvent::Repair`] index into it.
+    faults: FailureSchedule,
+    /// Which sites are down and the MTTR samples collected so far.
+    injector: FaultInjector,
+    /// Availability telemetry; reported only when the spec injects faults
+    /// or runs a rolling upgrade.
+    pub(super) stats: AvailabilityStats,
+    /// VMs affected per struck fault (blast radius samples).
+    blast_radius_vms: Vec<f64>,
+    /// VMs lost to each currently-outstanding fault, so the repair can
+    /// charge VM-seconds lost over the whole outage.
+    lost_at: BTreeMap<FaultSite, u64>,
+}
+
+impl FaultLedger {
+    pub(super) fn new(faults: FailureSchedule) -> Self {
+        FaultLedger {
+            faults,
+            ..FaultLedger::default()
+        }
+    }
+
+    /// The site the `index`-th planned fault strikes.
+    pub(super) fn site(&self, index: usize) -> FaultSite {
+        self.faults.faults()[index].site
+    }
+
+    /// Counts `lost` guests against the outstanding fault at `site`.
+    fn lose(&mut self, site: FaultSite, lost: u64) {
+        self.stats.vms_lost += lost;
+        if lost > 0 {
+            *self.lost_at.entry(site).or_default() += lost;
+        }
+    }
+
+    /// Delivers the `index`-th planned fault to `world`, the struck rack,
+    /// and runs the system's recovery protocol, charging everything the
+    /// availability report tracks. Follow-ups go to `sink`; compute-fault
+    /// guests the rack strands go to `restart`. A fault striking an
+    /// already-down site is absorbed.
+    pub(super) fn strike<S: EventSink>(
+        &mut self,
+        now: SimTime,
+        index: usize,
+        world: &mut ScenarioWorld<'_>,
+        restart: &mut Restart<'_, S>,
+        sink: &mut S,
+    ) {
+        let site = self.site(index);
+        if !self.injector.begin(site, now) {
+            self.stats.faults_absorbed += 1;
+            return;
+        }
+        self.stats.faults_injected += 1;
+        let affected = match (site.kind, world.fault_brick(site.kind, site.component)) {
+            (FaultKind::ComputeBrick, Some(brick)) => {
+                // Captured before the failure: who must be alive somewhere
+                // once recovery is done.
+                let residents: Vec<Guest> = world
+                    .system
+                    .vms_on(brick)
+                    .into_iter()
+                    .filter_map(|vm| world.guest(vm))
+                    .collect();
+                let Ok(report) = world.system.fail_compute_brick(brick) else {
+                    return;
+                };
+                self.stats.vm_migrations += u64::from(report.migrated);
+                self.stats.sessions_dropped += u64::from(report.sessions_dropped);
+                self.stats.orphaned_bytes += report.orphaned.as_bytes();
+                world.counters.live -= u64::from(report.lost);
+                for migration in &report.reports {
+                    world.record_migration(now, migration);
+                    // Evacuation downtime is availability lost to the fault.
+                    self.stats.vm_seconds_lost += migration.downtime.as_secs_f64();
+                }
+                // What the rack stranded restarts elsewhere if the caller
+                // has somewhere to put it, and is lost otherwise.
+                let mut restarted = 0u64;
+                let mut lost = 0u64;
+                for guest in residents {
+                    if world.system.vm_brick(guest.vm).is_some() {
+                        // Survived in place or migrated within the rack.
+                        continue;
+                    }
+                    match restart(world, sink, guest) {
+                        Some(downtime) => {
+                            restarted += 1;
+                            self.stats.vm_seconds_lost += downtime.as_secs_f64();
+                        }
+                        None => lost += 1,
+                    }
+                }
+                self.stats.vm_restarts += restarted;
+                self.lose(site, lost);
+                // Orphan detection runs as part of the recovery protocol:
+                // bytes stranded by dead guests (including the restarted
+                // ones' old segments) go back to the pool now.
+                let reclaim = world.system.reclaim_orphans();
+                self.stats.reclaimed_bytes += reclaim.reclaimed.as_bytes();
+                u64::from(report.migrated) + restarted + lost
+            }
+            (FaultKind::MemoryBrick, Some(brick)) => {
+                let Ok(report) = world.system.fail_membrick(brick) else {
+                    return;
+                };
+                self.stats.segments_lost_bytes += report.lost_bytes.as_bytes();
+                self.stats.sessions_dropped += u64::from(report.sessions_dropped);
+                self.stats.vm_restarts += report.restarted.len() as u64;
+                self.lose(site, u64::from(report.lost));
+                world.counters.live -= u64::from(report.lost);
+                // Each killed-and-readmitted guest restarts within the rack
+                // under a fresh handle: the old handle's scheduled events
+                // decay into NoSuchVm no-ops, and the new guest gets its own
+                // departure.
+                for &(_, vm) in &report.restarted {
+                    let lifetime = world.spec.lifetime.sample(&mut world.rng);
+                    sink.schedule(now + lifetime, ScenarioEvent::Departure { vm });
+                }
+                report.restarted.len() as u64 + u64::from(report.lost)
+            }
+            (FaultKind::AccelBrick, Some(brick)) => {
+                let Ok(report) = world.system.fail_accel_brick(brick) else {
+                    return;
+                };
+                self.stats.sessions_dropped += report.drained.len() as u64;
+                // Each drained session's owner retries the offload once a
+                // surviving accelerator may pick it up.
+                if let Some(plan) = world.spec.offload {
+                    for &(_, vm) in &report.drained {
+                        sink.schedule(
+                            now + plan.start_after,
+                            ScenarioEvent::OffloadBegin { vm, remaining: 1 },
+                        );
+                    }
+                }
+                report.drained.len() as u64
+            }
+            (FaultKind::Link, _) => {
+                if let Some(report) = world.system.fail_link(site.component) {
+                    self.stats.links_severed += 1;
+                    self.stats.circuits_rerouted += u64::from(report.rerouted);
+                    self.stats.circuits_lost += u64::from(report.lost);
+                }
+                0
+            }
+            (FaultKind::Switch, _) => {
+                self.stats.switch_failovers += 1;
+                self.stats.circuits_restored += world.system.fail_switch() as u64;
+                0
+            }
+            // A brick kind the rack has none of.
+            (_, None) => return,
+        };
+        self.blast_radius_vms.push(affected as f64);
+        world.sample_utilization();
+    }
+
+    /// Repairs the `index`-th planned fault's site in `world`, the struck
+    /// rack. A repair for a fault that was absorbed (site already down
+    /// under an earlier fault) is a no-op — the earlier fault's own repair
+    /// brings the site back.
+    pub(super) fn repair(&mut self, now: SimTime, index: usize, world: &mut ScenarioWorld<'_>) {
+        let site = self.site(index);
+        let Some(outage) = self.injector.end(site, now) else {
+            return;
+        };
+        self.stats.repairs += 1;
+        if let Some(lost) = self.lost_at.remove(&site) {
+            // Lost guests were down for the whole outage.
+            self.stats.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
+        }
+        match (site.kind, world.fault_brick(site.kind, site.component)) {
+            (FaultKind::ComputeBrick, Some(brick)) => {
+                let _ = world.system.repair_compute_brick(brick);
+            }
+            (FaultKind::MemoryBrick, Some(brick)) => {
+                let _ = world.system.repair_membrick(brick);
+            }
+            (FaultKind::AccelBrick, Some(brick)) => {
+                let _ = world.system.repair_accel_brick(brick);
+            }
+            (FaultKind::Link, _) => {
+                world.system.repair_link(site.component);
+            }
+            // The switch fault self-healed onto the standby at injection,
+            // and a brick kind the rack has none of has nothing to repair.
+            _ => {}
+        }
+        world.sample_utilization();
+    }
+}
+
+/// A single-rack replay: the rack's world plus the replay's fault ledger.
+pub(super) struct RackReplay<'a> {
+    pub(super) world: ScenarioWorld<'a>,
+    pub(super) ledger: FaultLedger,
+}
+
+impl ShardedProcess for RackReplay<'_> {
     type Event = ScenarioEvent;
 
     fn handle(
@@ -779,15 +913,22 @@ impl ShardedProcess for ScenarioWorld<'_> {
         event: ScenarioEvent,
         ctx: &mut ShardContext<'_, ScenarioEvent>,
     ) {
-        self.dispatch(now, event, ctx);
+        match event {
+            ScenarioEvent::Fault { index } => {
+                self.ledger
+                    .strike(now, index, &mut self.world, &mut |_, _, _| None, ctx);
+            }
+            ScenarioEvent::Repair { index } => self.ledger.repair(now, index, &mut self.world),
+            other => self.world.dispatch(now, other, ctx),
+        }
     }
 }
 
 impl ScenarioWorld<'_> {
     /// Turns one popped event into calls on the system and schedules the
     /// follow-ups through `sink` — the driver-agnostic heart of the
-    /// scenario engine, shared by the serial loop, the threaded rack
-    /// workers and the coordinator's serial barrier handlers.
+    /// scenario engine, shared by the single-rack replay and the
+    /// federation's rack shards, serial or threaded.
     pub(super) fn dispatch<S: EventSink>(
         &mut self,
         now: SimTime,
@@ -812,11 +953,14 @@ impl ScenarioWorld<'_> {
             | ScenarioEvent::DigestPublish
             | ScenarioEvent::DigestUpdate { .. }
             | ScenarioEvent::DrainRack { .. }
-            | ScenarioEvent::UpgradeRack { .. } => {
+            | ScenarioEvent::UpgradeRack { .. }
+            | ScenarioEvent::Fault { .. }
+            | ScenarioEvent::Repair { .. } => {
                 // Cluster-tier events are intercepted by the cluster world
-                // (`scenario::cluster`) before they reach a rack world; a
-                // single-rack replay never schedules them.
-                unreachable!("cluster-tier event dispatched to a rack world");
+                // (`scenario::cluster`) before they reach a rack world, and
+                // faults by the replay's fault ledger; a single-rack replay
+                // never schedules the former.
+                unreachable!("fault or cluster-tier event dispatched to a rack world");
             }
             ScenarioEvent::ScaleUp {
                 vm,
@@ -967,8 +1111,6 @@ impl ScenarioWorld<'_> {
                     ctx.schedule(now + policy.every(), ScenarioEvent::Rebalance);
                 }
             }
-            ScenarioEvent::Fault { index } => self.handle_fault(now, index, ctx),
-            ScenarioEvent::Repair { index } => self.handle_repair(now, index),
             ScenarioEvent::ReadBurst { vm, remaining } => {
                 let Some(dp) = self.data_path.as_mut() else {
                     return;

@@ -335,6 +335,8 @@ pub struct OrphanReclaim {
 /// ordinal that selected it (so the matching repair finds exactly it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct SeveredLink {
+    /// Always 0 (the system is one rack); kept so the `dredbox-snap`
+    /// stream stays unchanged.
     rack: u16,
     ordinal: u32,
     port: PortId,
@@ -1677,20 +1679,14 @@ impl DredboxSystem {
         Ok(repaired)
     }
 
-    /// Severs one cabled optical fibre of a rack, selected by `ordinal`
+    /// Severs one cabled optical fibre of the rack, selected by `ordinal`
     /// (wrapped over the rack's cabled ports, so any schedule value maps to
     /// a real fibre). Circuits that shared the fibre re-route over
     /// surviving cabled ports where possible. Returns `None` — leaving the
-    /// system untouched — when the rack is unknown, has no cabled ports, or
-    /// the same `(rack, ordinal)` fault is already outstanding.
-    pub fn fail_link(&mut self, rack: RackId, ordinal: u32) -> Option<LinkFaultReport> {
-        let idx = usize::from(rack.0);
-        if idx >= self.racks.len()
-            || self
-                .severed_links
-                .iter()
-                .any(|l| l.rack == rack.0 && l.ordinal == ordinal)
-        {
+    /// system untouched — when the rack has no cabled ports or the same
+    /// `ordinal` fault is already outstanding.
+    pub fn fail_link(&mut self, ordinal: u32) -> Option<LinkFaultReport> {
+        if self.severed_links.iter().any(|l| l.ordinal == ordinal) {
             return None;
         }
         let domain = &mut self.racks[0];
@@ -1701,7 +1697,7 @@ impl DredboxSystem {
         let (port, _) = cabled[ordinal as usize % cabled.len()];
         let failover = domain.topology.fail_link(&mut domain.rack, port).ok()?;
         self.severed_links.push(SeveredLink {
-            rack: rack.0,
+            rack: 0,
             ordinal,
             port,
             switch_port: failover.switch_port,
@@ -1716,29 +1712,23 @@ impl DredboxSystem {
     /// Re-seats the fibre a matching [`DredboxSystem::fail_link`] cut,
     /// cabling the brick port back into the switch port it occupied.
     /// Returns `false` — a no-op — if no such severed link is outstanding.
-    pub fn repair_link(&mut self, rack: RackId, ordinal: u32) -> bool {
-        let Some(pos) = self
-            .severed_links
-            .iter()
-            .position(|l| l.rack == rack.0 && l.ordinal == ordinal)
-        else {
+    pub fn repair_link(&mut self, ordinal: u32) -> bool {
+        let Some(pos) = self.severed_links.iter().position(|l| l.ordinal == ordinal) else {
             return false;
         };
         let link = self.severed_links.remove(pos);
-        self.racks[usize::from(rack.0)]
+        self.racks[0]
             .topology
             .recable(link.port, link.switch_port)
             .is_ok()
     }
 
-    /// Fails a rack's optical circuit switch over to a cold standby of the
-    /// same module: every established circuit is re-programmed on the
+    /// Fails the rack's optical circuit switch over to a cold standby of
+    /// the same module: every established circuit is re-programmed on the
     /// standby, so the fault self-heals. Returns the number of circuits
-    /// restored, or `None` for an unknown rack.
-    pub fn fail_switch(&mut self, rack: RackId) -> Option<usize> {
-        self.racks
-            .get_mut(usize::from(rack.0))
-            .map(|d| d.topology.fail_over_switch())
+    /// restored.
+    pub fn fail_switch(&mut self) -> usize {
+        self.racks[0].topology.fail_over_switch()
     }
 
     /// VM records stranded by compute-brick crashes, awaiting
@@ -2499,20 +2489,17 @@ mod tests {
     fn link_faults_sever_reroute_and_repair() {
         let mut s = system();
         let vm = s.allocate_vm(2, ByteSize::from_gib(4)).unwrap();
-        let rack = RackId(0);
         let circuits = s.topology().manager().circuit_count();
 
-        let report = s.fail_link(rack, 0).unwrap();
+        let report = s.fail_link(0).unwrap();
         // Circuits either re-routed over surviving fibres or were lost;
         // none silently vanish.
         assert!((report.rerouted + report.lost) as usize <= circuits);
-        // The same outstanding fault cannot be injected twice, and unknown
-        // racks are rejected.
-        assert!(s.fail_link(rack, 0).is_none());
-        assert!(s.fail_link(RackId(9), 0).is_none());
+        // The same outstanding fault cannot be injected twice.
+        assert!(s.fail_link(0).is_none());
 
-        assert!(s.repair_link(rack, 0));
-        assert!(!s.repair_link(rack, 0), "repair is a one-shot");
+        assert!(s.repair_link(0));
+        assert!(!s.repair_link(0), "repair is a one-shot");
 
         // The re-seated fibre carries new circuits again.
         s.release_vm(vm).unwrap();
@@ -2527,8 +2514,7 @@ mod tests {
         let circuits = s.topology().manager().circuit_count();
 
         // Every established circuit is re-programmed on the standby module.
-        assert_eq!(s.fail_switch(RackId(0)), Some(circuits));
-        assert!(s.fail_switch(RackId(9)).is_none());
+        assert_eq!(s.fail_switch(), circuits);
         assert_eq!(s.topology().manager().circuit_count(), circuits);
 
         // Remote memory still reaches the pool through the standby.

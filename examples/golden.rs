@@ -6,6 +6,10 @@
 //! against these files byte for byte, so any engine or control-plane change
 //! that shifts a single report bit fails loudly.
 //!
+//! It also writes `failure-storm-1rack-{seed}.txt`: the failure storm
+//! replayed on one rack, the only check on single-rack fault recovery (the
+//! suite's own failure storm federates two racks).
+//!
 //! Run with: `cargo run --release --example golden`
 //!
 //! Only run this intentionally — overwriting the snapshots redefines the
@@ -16,10 +20,16 @@ use dredbox::prelude::*;
 fn main() -> Result<(), SystemError> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for spec in ScenarioSpec::extended_suite() {
+    let mut one_rack_storm = ScenarioSpec::failure_storm();
+    one_rack_storm.system.racks = 1;
+    let goldens = ScenarioSpec::extended_suite()
+        .into_iter()
+        .map(|spec| (spec.name.clone(), spec))
+        .chain([("failure-storm-1rack".to_owned(), one_rack_storm)]);
+    for (file, spec) in goldens {
         for seed in [2018u64, 7] {
             let report = spec.run(seed)?;
-            let path = dir.join(format!("{}-{}.txt", spec.name, seed));
+            let path = dir.join(format!("{file}-{seed}.txt"));
             let contents = format!("{report:#?}\n{report}");
             std::fs::write(&path, contents).expect("write golden snapshot");
             println!("wrote {}", path.display());

@@ -405,3 +405,29 @@ fn extended_suite_matches_golden_snapshots_in_both_sharding_modes() {
         }
     }
 }
+
+/// The failure storm replayed on a single rack: every fault strikes the
+/// one rack world, so this is the only golden that pins the single-rack
+/// recovery protocol (intra-rack evacuation, guests lost without a
+/// cross-rack restart, orphan reclaim, repairs). Written by the same
+/// `golden` example as the extended-suite snapshots.
+#[test]
+fn one_rack_failure_storm_matches_golden_snapshots() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut spec = ScenarioSpec::failure_storm();
+    spec.system.racks = 1;
+    for seed in [2018u64, 7] {
+        let path = dir.join(format!("failure-storm-1rack-{seed}.txt"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
+        let report = spec.run(seed).expect("scenario runs");
+        let availability = report.availability.as_ref().expect("faults were injected");
+        assert!(availability.faults_injected > 0);
+        let rendered = format!("{report:#?}\n{report}");
+        assert!(
+            rendered == golden,
+            "failure-storm-1rack-{seed} drifted from {}",
+            path.display()
+        );
+    }
+}

@@ -303,10 +303,10 @@ fn apply(
             let _ = s.fail_accel_brick(b);
         }),
         Op::FaultLink { rack, ordinal } => {
-            let _ = f.racks[rack % racks].fail_link(RackId(0), ordinal);
+            let _ = f.racks[rack % racks].fail_link(ordinal);
         }
         Op::FaultSwitch { rack } => {
-            let _ = f.racks[rack % racks].fail_switch(RackId(0));
+            let _ = f.racks[rack % racks].fail_switch();
         }
         Op::RepairCompute { pick } => f.on_brick(pick, is_compute, |s, b| {
             let _ = s.repair_compute_brick(b);
@@ -318,7 +318,7 @@ fn apply(
             let _ = s.repair_accel_brick(b);
         }),
         Op::RepairLink { rack, ordinal } => {
-            f.racks[rack % racks].repair_link(RackId(0), ordinal);
+            f.racks[rack % racks].repair_link(ordinal);
         }
         Op::Reclaim => {
             for rack in 0..racks {
