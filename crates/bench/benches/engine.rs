@@ -10,9 +10,11 @@
 //!   events-per-second figure.
 //! * `engine/synthetic_relay` — a pure engine trace with no system model
 //!   behind it: self-rescheduling event chains, one per shard, with every
-//!   eighth hop crossing shards through the timestamped mailbox. Run at
-//!   1 / 2 / 4 shards over 100k events, this isolates calendar + mailbox
-//!   cost from scenario work.
+//!   eighth hop crossing shards through the timestamped mailbox over an
+//!   8 ns channel. Run on one worker at 1 / 2 / 4 shards over 100k
+//!   events: the 1-shard row prices the per-event calendar cost of the
+//!   run loop, the 2- and 4-shard rows add its epoch barriers (an 8 ns
+//!   lookahead gives each shard about eight events per epoch).
 //! * `engine/data_path` — the incast scenario with the load-dependent data
 //!   path on vs off (contention disabled). The delta is the cost of the
 //!   contention model itself: per-stage ledger lookups, queuing-delay
@@ -30,15 +32,26 @@ use std::hint::black_box;
 
 use dredbox::prelude::*;
 
+/// Declared latency of the relay's cross-shard channels: every mailbox
+/// hop lands this long after it is sent, the lookahead each shard's epoch
+/// gets.
+const CROSS_LATENCY: SimDuration = SimDuration::from_nanos(8);
+
 /// A synthetic relay world: each event carries a countdown and reschedules
-/// itself one nanosecond later until it reaches zero; every eighth hop on a
-/// multi-shard engine crosses to the next shard through the mailbox instead.
+/// itself one nanosecond later until it reaches zero; every eighth hop a
+/// shard handles on a multi-shard engine crosses to the next shard through
+/// the mailbox instead, [`CROSS_LATENCY`] later.
 struct Relay {
+    shards: Vec<RelayShard>,
+}
+
+/// One shard of the [`Relay`], counting the hops it handled.
+struct RelayShard {
     shards: u32,
     hops: u64,
 }
 
-impl ShardedProcess for Relay {
+impl WorldWorker for RelayShard {
     type Event = u64;
 
     fn handle(
@@ -46,31 +59,63 @@ impl ShardedProcess for Relay {
         shard: ShardId,
         now: SimTime,
         event: u64,
-        ctx: &mut ShardContext<'_, u64>,
+        ctx: &mut WorkerContext<'_, u64>,
     ) {
         self.hops += 1;
         if event == 0 {
             return;
         }
-        let at = now + SimDuration::from_nanos(1);
         if self.shards > 1 && self.hops % 8 == 0 {
-            ctx.send(ShardId((shard.0 + 1) % self.shards), at, event - 1);
+            let to = ShardId((shard.0 + 1) % self.shards);
+            ctx.send(to, now + CROSS_LATENCY, event - 1);
         } else {
-            ctx.schedule(at, event - 1);
+            ctx.schedule(now + SimDuration::from_nanos(1), event - 1);
         }
     }
 }
 
-/// Drives `total` events through a `shards`-shard engine and returns the
-/// processed count (asserted, so a scheduling bug fails the bench loudly).
+impl ParallelWorld for Relay {
+    type Event = u64;
+    type Worker = RelayShard;
+
+    fn split(&mut self, _shards: usize) -> Vec<RelayShard> {
+        std::mem::take(&mut self.shards)
+    }
+
+    fn reunite(&mut self, shards: Vec<RelayShard>) {
+        self.shards = shards;
+    }
+
+    fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+        Some(CROSS_LATENCY)
+    }
+
+    fn handle_serial(
+        &mut self,
+        _shard: ShardId,
+        _now: SimTime,
+        _event: u64,
+        _ctx: &mut SerialContext<'_, u64>,
+    ) {
+        unreachable!("the relay schedules no serial events")
+    }
+}
+
+/// Drives `total` events through a `shards`-shard engine on one worker
+/// and returns the processed count (asserted, so a scheduling bug fails
+/// the bench loudly).
 fn run_relay(shards: u32, total: u64) -> u64 {
     let mut engine = ShardedEngine::new(shards as usize);
     let per_chain = total / u64::from(shards);
     for s in 0..shards {
         engine.schedule(ShardId(s), SimTime::ZERO, per_chain - 1);
     }
-    let mut world = Relay { shards, hops: 0 };
-    let outcome = engine.run(&mut world);
+    let mut world = Relay {
+        shards: (0..shards)
+            .map(|_| RelayShard { shards, hops: 0 })
+            .collect(),
+    };
+    let outcome = engine.run(&mut world, 1);
     assert_eq!(outcome, RunOutcome::Drained);
     assert_eq!(engine.processed(), per_chain * u64::from(shards));
     engine.processed()

@@ -127,7 +127,7 @@ use crate::system::{DredboxSystem, SystemError};
 pub use datapath::{DataPathConfig, DataPathStats, Granularity, ReadProfile, RemoteCacheConfig};
 pub use dredbox_interconnect::ContentionConfig;
 
-use world::{FaultLedger, RackReplay, ScenarioEvent, ScenarioWorld};
+use world::{FaultLedger, OneRack, RackReplay, ScenarioEvent, ScenarioWorld};
 
 /// Which generator a scenario draws its per-VM demands from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -938,11 +938,11 @@ impl ScenarioSpec {
     /// Replays the scenario from `seed` with up to `threads` worker
     /// threads driving the rack shards.
     ///
-    /// Multi-rack systems run on the partitioned federation (one shard
-    /// per rack plus the cluster front door) under the conservative
-    /// threaded runner; the report is bit-identical for every `threads`
-    /// value, including 1. Single-rack systems always replay on the serial
-    /// engine — `threads` adds nothing when there is only one shard.
+    /// Every replay runs on the engine's one run loop,
+    /// [`ShardedEngine::run`]. Multi-rack systems run on the partitioned
+    /// federation (one shard per rack plus the cluster front door), whose
+    /// report is bit-identical for every `threads` value, including 1; a
+    /// single-rack system is one shard, so `threads` adds nothing there.
     ///
     /// # Errors
     ///
@@ -981,8 +981,8 @@ impl ScenarioSpec {
             return self.run_cluster(demands, arrivals, &mut rng, threads);
         }
 
-        // Single-rack: the one-shard serial engine, untouched — every
-        // pre-federation report (and golden) stays byte-identical.
+        // Single-rack: one shard, so the run loop drains the rack's
+        // calendar in one epoch, in the flat engine's event order.
         let system = DredboxSystem::build(self.system.clone())?;
         let mut engine = ShardedEngine::new(1)
             .with_horizon(self.horizon)
@@ -1016,11 +1016,12 @@ impl ScenarioSpec {
             );
         }
 
-        let mut replay = RackReplay {
+        let mut rack = OneRack(Some(RackReplay {
             world: ScenarioWorld::new(self, system, demands, world_rng),
             ledger: FaultLedger::new(faults),
-        };
-        let outcome = engine.run(&mut replay);
+        }));
+        let outcome = engine.run(&mut rack, threads);
+        let replay = rack.0.expect("the replay is home after the run");
         Ok(replay.world.finish(
             [],
             replay.ledger,
@@ -1124,7 +1125,7 @@ impl ScenarioSpec {
             rack_rngs,
             timings,
         );
-        let outcome = engine.run_threaded(&mut world, threads.max(1));
+        let outcome = engine.run(&mut world, threads);
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
 
@@ -2062,6 +2063,35 @@ mod tests {
             spec.run(1),
             Err(SystemError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn an_unbounded_horizon_replays_to_completion() {
+        // A spec meaning "no horizon" carries the last representable
+        // instant; the run loop's epoch bounds must not overflow past it,
+        // on one rack or on a federation.
+        let unbounded = SimTime::from_nanos(u64::MAX);
+        let mut one_rack = ScenarioSpec::steady_state();
+        one_rack.horizon = unbounded;
+        let mut federation = ScenarioSpec::datacenter();
+        federation.vm_count = 500;
+        federation.horizon = unbounded;
+        for spec in [one_rack, federation] {
+            let report = spec.run(2018).expect("replays");
+            assert_ne!(report.outcome, RunOutcome::HorizonReached, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn a_binding_event_budget_cuts_a_one_rack_replay_exactly() {
+        for seed in [2018, 7] {
+            let mut spec = ScenarioSpec::steady_state();
+            let full = spec.run(seed).expect("run");
+            spec.event_budget = full.events / 2;
+            let cut = spec.run(seed).expect("run");
+            assert_eq!(cut.events, spec.event_budget, "seed {seed}");
+            assert_eq!(cut.outcome, RunOutcome::BudgetExhausted, "seed {seed}");
+        }
     }
 
     #[test]

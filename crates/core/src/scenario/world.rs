@@ -6,7 +6,8 @@
 //! [`ScenarioWorld`] — which turns each popped event into calls on its
 //! single-rack [`DredboxSystem`] and schedules the follow-ups — the
 //! [`FaultLedger`] that runs the one fault-recovery protocol, and
-//! [`RackReplay`], the [`ShardedProcess`] a single-rack scenario replays.
+//! [`RackReplay`], the one-shard worker a single-rack scenario replays as
+//! ([`OneRack`] hands it to the engine's run loop and takes it back).
 //! The spec/report half lives in the parent module.
 //!
 //! Hot-path discipline: the world never clones system state per event —
@@ -50,10 +51,10 @@ use std::sync::Arc;
 use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
-use dredbox_sim::parallel::WorkerContext;
+use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
 use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::rng::SimRng;
-use dredbox_sim::shard::{RunOutcome, ShardContext, ShardId, ShardedProcess};
+use dredbox_sim::shard::{RunOutcome, ShardId};
 use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
@@ -197,21 +198,13 @@ const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
 
 /// Where a dispatched event's follow-ups land.
 ///
-/// The same world logic runs under three drivers: the serial
-/// [`ShardedEngine`](dredbox_sim::shard::ShardedEngine) loop
-/// ([`ShardContext`]), a worker thread of the threaded runner
-/// ([`WorkerContext`]), and a federation's serial barrier handler, whose
-/// coordinator context is aimed at the struck rack's shard
-/// ([`RackSink`](super::cluster::RackSink)).
+/// The same world logic runs in two places: on the rack's own shard
+/// during an epoch of the engine's run loop ([`WorkerContext`]), and in a
+/// federation's serial barrier handler, whose coordinator context is
+/// aimed at the struck rack's shard ([`RackSink`](super::cluster::RackSink)).
 pub(super) trait EventSink {
     /// Schedules a follow-up on the rack's own shard.
     fn schedule(&mut self, at: SimTime, event: ScenarioEvent);
-}
-
-impl EventSink for ShardContext<'_, ScenarioEvent> {
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
-        ShardContext::schedule(self, at, event);
-    }
 }
 
 impl EventSink for WorkerContext<'_, ScenarioEvent> {
@@ -903,7 +896,7 @@ pub(super) struct RackReplay<'a> {
     pub(super) ledger: FaultLedger,
 }
 
-impl ShardedProcess for RackReplay<'_> {
+impl WorldWorker for RackReplay<'_> {
     type Event = ScenarioEvent;
 
     fn handle(
@@ -911,7 +904,7 @@ impl ShardedProcess for RackReplay<'_> {
         _shard: ShardId,
         now: SimTime,
         event: ScenarioEvent,
-        ctx: &mut ShardContext<'_, ScenarioEvent>,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
     ) {
         match event {
             ScenarioEvent::Fault { index } => {
@@ -921,6 +914,39 @@ impl ShardedProcess for RackReplay<'_> {
             ScenarioEvent::Repair { index } => self.ledger.repair(now, index, &mut self.world),
             other => self.world.dispatch(now, other, ctx),
         }
+    }
+}
+
+/// The one-shard world a single-rack replay runs as: `split` hands the
+/// whole [`RackReplay`] out as shard 0's worker and `reunite` takes it
+/// back. A lone shard has no channels and no serial events.
+pub(super) struct OneRack<'a>(pub(super) Option<RackReplay<'a>>);
+
+impl<'a> ParallelWorld for OneRack<'a> {
+    type Event = ScenarioEvent;
+    type Worker = RackReplay<'a>;
+
+    fn split(&mut self, shards: usize) -> Vec<RackReplay<'a>> {
+        assert_eq!(shards, 1, "a single-rack replay is one shard");
+        vec![self.0.take().expect("the replay is home")]
+    }
+
+    fn reunite(&mut self, mut workers: Vec<RackReplay<'a>>) {
+        self.0 = workers.pop();
+    }
+
+    fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+        None
+    }
+
+    fn handle_serial(
+        &mut self,
+        _shard: ShardId,
+        _now: SimTime,
+        _event: ScenarioEvent,
+        _ctx: &mut SerialContext<'_, ScenarioEvent>,
+    ) {
+        unreachable!("a single-rack replay schedules no serial events");
     }
 }
 

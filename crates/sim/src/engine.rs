@@ -1,12 +1,19 @@
-//! The flat single-calendar reference engine: one [`EventQueue`] drained
-//! against a world until it empties, a time horizon is reached, or an
-//! event budget is exhausted.
+//! Test-only reference models for [`ShardedEngine::run`]:
 //!
-//! Test-only: a one-shard [`ShardedEngine`](crate::shard::ShardedEngine)
-//! must reproduce it event for event (see the `shard` tests).
+//! * [`Engine`], the flat single-calendar engine: one [`EventQueue`]
+//!   drained against a world until it empties, a time horizon is reached,
+//!   or an event budget is exhausted. A one-shard run must reproduce it
+//!   event for event (see the `shard` tests).
+//! * [`run_serial`], a serial multi-shard loop over a [`ShardedEngine`]'s
+//!   calendars and mailboxes that pops one event at a time in the global
+//!   (time, shard) order of the module contract in [`crate::shard`]. The
+//!   epoch runner must match it bit for bit at every worker count (see the
+//!   `parallel` tests).
+
+use std::collections::BinaryHeap;
 
 use crate::event::EventQueue;
-use crate::shard::RunOutcome;
+use crate::shard::{MailEntry, RunOutcome, ShardId, ShardedEngine};
 use crate::time::SimTime;
 
 /// A process reacts to events of type `E`, mutating its own state and
@@ -102,6 +109,109 @@ impl<E> Engine<E> {
             self.processed += 1;
             world.handle(self.now, event, &mut self.queue);
         }
+    }
+}
+
+/// A world partitioned across shards, driven by [`run_serial`].
+pub(crate) trait ShardProcess {
+    /// The event type handled by this process.
+    type Event;
+
+    /// Handles `event` firing on `shard` at `now`; follow-ups go through
+    /// `ctx`.
+    fn handle(
+        &mut self,
+        shard: ShardId,
+        now: SimTime,
+        event: Self::Event,
+        ctx: &mut ShardSink<'_, Self::Event>,
+    );
+}
+
+/// Scheduling surface of [`run_serial`]: the firing shard's calendar plus
+/// every shard's mailbox.
+pub(crate) struct ShardSink<'a, E> {
+    shard: ShardId,
+    now: SimTime,
+    queue: &'a mut EventQueue<E>,
+    mailboxes: &'a mut [BinaryHeap<MailEntry<E>>],
+    send_seq: &'a mut u64,
+}
+
+impl<E> ShardSink<'_, E> {
+    /// Schedules `event` on the firing shard's own calendar.
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
+        assert!(at >= self.now, "cannot schedule an event in the past");
+        self.queue.schedule(at, event);
+    }
+
+    /// Sends `event` to shard `to`'s mailbox (or the own calendar).
+    pub(crate) fn send(&mut self, to: ShardId, at: SimTime, event: E) {
+        if to == self.shard {
+            return self.schedule(at, event);
+        }
+        assert!(at >= self.now, "cannot send an event into the past");
+        let seq = *self.send_seq;
+        *self.send_seq += 1;
+        self.mailboxes[to.0 as usize].push(MailEntry {
+            at,
+            from: self.shard,
+            seq,
+            event,
+        });
+    }
+}
+
+/// Runs `engine` serially until every calendar and mailbox drains or a
+/// limit is hit, one pop at a time: the earliest event globally, the
+/// lowest shard at equal times, and within a shard the local calendar
+/// before the mailbox at equal times. The budget is checked before each
+/// pop and the horizon against the next event's time.
+pub(crate) fn run_serial<P: ShardProcess>(
+    engine: &mut ShardedEngine<P::Event>,
+    world: &mut P,
+) -> RunOutcome {
+    assert!(engine.serial.is_empty(), "the reference has no barriers");
+    loop {
+        if engine.max_events.is_some_and(|max| engine.processed >= max) {
+            return RunOutcome::BudgetExhausted;
+        }
+        let mut next: Option<(SimTime, usize, bool)> = None;
+        for s in 0..engine.queues.len() {
+            let local = engine.queues[s].peek_time().map(|t| (t, false));
+            let mail = engine.mailboxes[s].peek().map(|e| (e.at, true));
+            let head = match (local, mail) {
+                (Some(l), Some(m)) => Some(if m.0 < l.0 { m } else { l }),
+                (head, None) | (None, head) => head,
+            };
+            if let Some((t, from_mail)) = head {
+                if next.map_or(true, |(best, _, _)| t < best) {
+                    next = Some((t, s, from_mail));
+                }
+            }
+        }
+        let Some((t, s, from_mail)) = next else {
+            return RunOutcome::Drained;
+        };
+        if engine.horizon.is_some_and(|h| t > h) {
+            return RunOutcome::HorizonReached;
+        }
+        let (at, event) = if from_mail {
+            let entry = engine.mailboxes[s].pop().expect("peeked mail exists");
+            (entry.at, entry.event)
+        } else {
+            engine.queues[s].pop().expect("peeked event exists")
+        };
+        engine.now = at;
+        engine.processed += 1;
+        let mut ctx = ShardSink {
+            shard: ShardId(s as u32),
+            now: at,
+            queue: &mut engine.queues[s],
+            mailboxes: &mut engine.mailboxes,
+            send_seq: &mut engine.send_seqs[s],
+        };
+        world.handle(ShardId(s as u32), at, event, &mut ctx);
     }
 }
 

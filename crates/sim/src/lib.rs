@@ -7,8 +7,10 @@
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`SimDuration`]).
 //! * [`event`] — a deterministic event queue keyed by time and insertion order.
 //! * [`shard`] — the discrete-event engine: per-shard calendars (one per rack)
-//!   drained against a user-provided world state, with deterministic
-//!   (time, shard, seq) cross-shard mailboxes.
+//!   with deterministic (time, shard, seq) cross-shard mailboxes.
+//! * [`parallel`] — its one run loop, conservative epochs over worker
+//!   threads, draining the calendars against a world split into one
+//!   worker per shard.
 //! * [`arena`] — generational slab arenas giving the scenario hot path stable
 //!   `u32` slots and an allocation-free steady state.
 //! * [`rng`] — a seedable, reproducible random-number generator wrapper so that
@@ -65,7 +67,7 @@ pub mod prelude {
     pub use crate::queue::{ControlPlaneQueue, QueueAdmission};
     pub use crate::report::{Figure, Row, Series, Table};
     pub use crate::rng::SimRng;
-    pub use crate::shard::{RunOutcome, ShardContext, ShardId, ShardedEngine, ShardedProcess};
+    pub use crate::shard::{RunOutcome, ShardId, ShardedEngine};
     pub use crate::stats::{BoxPlot, Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{Bandwidth, ByteSize, DecibelMilliwatts, Milliwatts, Watts};

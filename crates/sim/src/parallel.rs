@@ -1,39 +1,40 @@
-//! Threaded epoch runner for the sharded engine.
+//! The engine's one run loop: conservative epochs over worker threads.
 //!
-//! [`ShardedEngine::run_threaded`] executes shard calendars on worker
-//! threads under *conservative synchronization*: time is carved into
-//! epochs, and within an epoch every shard may advance its calendar up to
-//! a per-shard **horizon** no cross-shard message can beat. Horizons come
-//! from declared channel latencies: if every message from shard `q` to
-//! shard `s` arrives at least `L(q→s)` after it is sent, then shard `s`
-//! can safely process everything strictly before
+//! [`ShardedEngine::run`] executes shard calendars on worker threads under
+//! *conservative synchronization*: time is carved into epochs, and within
+//! an epoch every shard may advance its calendar up to a per-shard
+//! **horizon** no cross-shard message can beat. Horizons come from
+//! declared channel latencies: if every message from shard `q` to shard
+//! `s` arrives at least `L(q→s)` after it is sent, then shard `s` can
+//! safely process everything strictly before
 //! `min over q (next_time(q) + L(q→s))` — any message `q` emits while
 //! working through its own calendar arrives at or after that bound.
 //! Cross-shard sends are buffered in per-shard outboxes and exchanged as
-//! mailbox batches at the epoch barrier, merged under the same
-//! (arrival time, source shard, send seq) contract as the serial mailbox,
-//! so the event order every shard observes is a pure function of
-//! timestamps and ids, never of thread interleaving.
+//! mailbox batches at the epoch barrier, merged under the (arrival time,
+//! source shard, send seq) contract of [`crate::shard`], so the event
+//! order every shard observes is a pure function of timestamps and ids,
+//! never of thread interleaving. A one-shard world (a single-rack replay)
+//! has no channels, so one epoch drains its whole calendar.
 //!
 //! # Determinism
 //!
-//! `run_threaded` produces bit-identical worlds and reports for every
-//! worker count, including 1: the epoch schedule (horizons, barrier
-//! times, serial batches) is computed from event timestamps only, each
-//! shard's event sequence within an epoch is fully ordered by its own
-//! calendar and inbox, and barrier routing walks source shards in
-//! ascending order. Threads change *which wall-clock instant* a shard's
-//! slice runs at, never what it computes.
+//! `run` produces bit-identical worlds and reports for every worker
+//! count, including 1: the epoch schedule (horizons, barrier times, serial
+//! batches) is computed from event timestamps only, each shard's event
+//! sequence within an epoch is fully ordered by its own calendar and
+//! inbox, and barrier routing walks source shards in ascending order.
+//! Threads change *which wall-clock instant* a shard's slice runs at,
+//! never what it computes.
 //!
 //! The one caveat is a *binding* event budget. When fewer budgeted events
 //! remain than are currently pending, the runner drops to a fine-grained
-//! single-step mode that replays the exact global (time, shard) order of
-//! [`ShardedEngine::run`], so the cutoff lands on a deterministic event
-//! and `processed()` / [`RunOutcome`] match the serial engine exactly. If
-//! an intra-epoch scheduling burst exhausts the budget before that guard
-//! engages, the totals are still exact but *which* near-cutoff events got
-//! processed is unspecified. Scenario budgets are runaway guards sized
-//! far above their traces, so the corner never binds there.
+//! single-step mode that pops the globally earliest event (the lowest
+//! shard at equal times), so the cutoff lands on a deterministic event
+//! and `processed()` / [`RunOutcome`] are exact. If an intra-epoch
+//! scheduling burst exhausts the budget before that guard engages, the
+//! totals are still exact but *which* near-cutoff events on different
+//! shards got processed is unspecified. Scenario budgets are runaway
+//! guards sized far above their traces, so the corner never binds there.
 //!
 //! # Serial events
 //!
@@ -53,10 +54,11 @@ use std::sync::mpsc;
 use std::thread;
 
 use crate::event::EventQueue;
-use crate::shard::{MailEntry, RunOutcome, SerialEntry, ShardId, ShardedEngine};
+use crate::shard::{MailEntry, RunOutcome, ShardId, ShardedEngine};
 use crate::time::{SimDuration, SimTime};
 
-/// Effectively-unbounded horizon cap.
+/// The last representable instant: the epoch horizon of a shard nothing
+/// else bounds.
 const FAR_FUTURE: SimTime = SimTime::from_nanos(u64::MAX);
 
 /// A world that can be torn into per-shard workers for epoch execution.
@@ -190,8 +192,8 @@ impl<E> WorkerContext<'_, E> {
     }
 
     /// Schedules `event` on this shard's own calendar at absolute time
-    /// `at` — it may land inside the current epoch and fire immediately
-    /// after, exactly like a local schedule in the serial engine.
+    /// `at` — it may land inside the current epoch and fire right after
+    /// the current event.
     ///
     /// # Panics
     ///
@@ -366,7 +368,7 @@ struct Unit<E, Wk> {
     shard: u32,
     lane: Lane<E>,
     worker: Option<Wk>,
-    /// Exclusive horizon for the epoch being executed.
+    /// Last instant (inclusive) the epoch being executed may process.
     horizon: SimTime,
     /// Events processed during the epoch being executed.
     processed: u64,
@@ -374,7 +376,7 @@ struct Unit<E, Wk> {
     max_t: Option<SimTime>,
 }
 
-/// One parallel epoch for one shard: pop while strictly below the
+/// One parallel epoch for one shard: pop up to and including the
 /// horizon, claiming from the shared budget before every pop.
 fn process_unit<E, Wk: WorldWorker<Event = E>>(
     unit: &mut Unit<E, Wk>,
@@ -388,7 +390,7 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
     let worker = unit.worker.as_mut().expect("unit carries its worker");
     loop {
         match unit.lane.next_time() {
-            Some(at) if at < unit.horizon => {}
+            Some(at) if at <= unit.horizon => {}
             _ => break,
         }
         if claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
@@ -415,19 +417,21 @@ struct Job<E, Wk> {
 }
 
 impl<E: Send> ShardedEngine<E> {
-    /// Runs the simulation under conservative-epoch synchronization on
-    /// `threads` worker threads (clamped to `1..=shard_count`). Run
-    /// control — the event budget checked before every claim, the
-    /// horizon against each event's time, [`RunOutcome`] priorities —
-    /// is global across all workers and matches [`ShardedEngine::run`].
-    /// See the module docs for the determinism contract.
+    /// Runs the simulation until every calendar, mailbox and the serial
+    /// queue drains or a limit is hit, under conservative-epoch
+    /// synchronization on `threads` worker threads (clamped to
+    /// `1..=shard_count`). Run control is global across all workers: the
+    /// event budget is checked before every event, the horizon against
+    /// each event's time, and a run that hits both reports
+    /// [`RunOutcome::BudgetExhausted`]. See the module docs for the
+    /// determinism contract.
     ///
     /// # Panics
     ///
     /// Panics if the world declares a zero-latency channel, splits into
     /// the wrong number of workers, or a handler violates the send
     /// contract.
-    pub fn run_threaded<W>(&mut self, world: &mut W, threads: usize) -> RunOutcome
+    pub fn run<W>(&mut self, world: &mut W, threads: usize) -> RunOutcome
     where
         W: ParallelWorld<Event = E>,
     {
@@ -536,7 +540,7 @@ impl<E: Send> ShardedEngine<E> {
 
             // When the remaining budget is no larger than the pending
             // event count, epochs could overshoot the cutoff; fall back
-            // to single-stepping the exact global order of `run`.
+            // to single-stepping the global (time, shard) order.
             let mut fine_mode = false;
 
             'run: loop {
@@ -608,119 +612,66 @@ impl<E: Send> ShardedEngine<E> {
                     }
                 }
 
-                if fine_mode {
+                let cap = if fine_mode {
+                    // Single-step: only the globally earliest shard (the
+                    // lowest id at equal times) runs, for one event.
                     dbg_fine += 1;
-                    // Deliver any buffered batches, then replay exactly
-                    // one event in the global (time, shard) order.
+                    let (t, s) = (0..shards)
+                        .filter_map(|s| t_eff[s].map(|t| (t, s)))
+                        .min()
+                        .expect("min_parallel was Some");
+                    let mut unit = slots[s].take().expect("unit is home");
+                    batches[s].deliver(&mut unit.lane);
+                    unit.horizon = t;
+                    active.push(unit);
+                    1
+                } else {
+                    // Parallel epoch: each shard's inclusive horizon is the
+                    // run horizon, capped one nanosecond before the serial
+                    // fence and before the earliest arrival another shard
+                    // could send (its next time plus the channel latency,
+                    // saturating, so an unbounded run never overflows).
                     for s in 0..shards {
-                        if !batches[s].entries.is_empty() {
-                            let unit = slots[s].as_mut().expect("unit is home");
-                            batches[s].deliver(&mut unit.lane);
+                        let Some(t_s) = t_eff[s] else { continue };
+                        let mut h_s = self.horizon.unwrap_or(FAR_FUTURE);
+                        if let Some(f) = serial_head {
+                            // Not due, so the fence lies past the earliest
+                            // parallel event, hence above zero.
+                            h_s = h_s.min(f - SimDuration::from_nanos(1));
                         }
-                    }
-                    let mut best: Option<(SimTime, usize)> = None;
-                    for (s, slot) in slots.iter().enumerate() {
-                        if let Some(t) = slot.as_ref().expect("unit is home").lane.next_time() {
-                            let earlier = match best {
-                                None => true,
-                                Some((bt, _)) => t < bt,
-                            };
-                            if earlier {
-                                best = Some((t, s));
+                        for q in 0..shards {
+                            if q == s {
+                                continue;
+                            }
+                            if let (Some(l), Some(t_q)) = (lat[q][s], t_eff[q]) {
+                                let reach = t_q.as_nanos().saturating_add(l.as_nanos() - 1);
+                                h_s = h_s.min(SimTime::from_nanos(reach));
                             }
                         }
-                    }
-                    let (_, s) = best.expect("min_parallel was Some");
-                    let unit = slots[s].as_mut().expect("unit is home");
-                    let (at, event) = unit.lane.pop().expect("peeked event must exist");
-                    self.processed += 1;
-                    self.now = self.now.max(at);
-                    let shard = ShardId(s as u32);
-                    let mut ctx = WorkerContext {
-                        shard,
-                        now: at,
-                        lane: &mut unit.lane,
-                        lat_row: &lat[s][..],
-                    };
-                    unit.worker
-                        .as_mut()
-                        .expect("unit carries its worker")
-                        .handle(shard, at, event, &mut ctx);
-                    outs.append(&mut unit.lane.outbox);
-                    for out in outs.drain(..) {
-                        if out.serial {
-                            let seq = self.serial_seq;
-                            self.serial_seq += 1;
-                            self.serial.push(SerialEntry {
-                                at: out.at,
-                                shard: ShardId(out.to),
-                                seq,
-                                event: out.event,
-                            });
-                        } else {
-                            // Fine mode is sequential: deliver directly.
-                            slots[out.to as usize]
-                                .as_mut()
-                                .expect("unit is home")
-                                .lane
-                                .inbox
-                                .push(MailEntry {
-                                    at: out.at,
-                                    from: shard,
-                                    seq: out.seq,
-                                    event: out.event,
-                                });
-                        }
-                    }
-                    continue 'run;
-                }
-
-                // Parallel epoch: compute each shard's horizon from the
-                // other shards' next times plus channel latencies, capped
-                // by the serial fence and the run horizon (inclusive, so
-                // +1 ns as an exclusive bound).
-                for s in 0..shards {
-                    let Some(t_s) = t_eff[s] else { continue };
-                    let mut h_s = match self.horizon {
-                        Some(h) => h + SimDuration::from_nanos(1),
-                        None => FAR_FUTURE,
-                    };
-                    if let Some(f) = serial_head {
-                        h_s = h_s.min(f);
-                    }
-                    for q in 0..shards {
-                        if q == s {
+                        if t_s > h_s {
                             continue;
                         }
-                        if let (Some(l), Some(t_q)) = (lat[q][s], t_eff[q]) {
-                            h_s = h_s.min(t_q + l);
-                        }
-                    }
-                    if t_s >= h_s {
-                        continue;
-                    }
-                    let mut unit = slots[s].take().expect("unit is home");
-                    if !batches[s].entries.is_empty() {
+                        let mut unit = slots[s].take().expect("unit is home");
                         batches[s].deliver(&mut unit.lane);
+                        unit.horizon = h_s;
+                        active.push(unit);
                     }
-                    unit.horizon = h_s;
-                    active.push(unit);
-                }
+                    dbg_epochs += 1;
+                    dbg_units += active.len() as u64;
+                    if active.len() == 1 {
+                        dbg_single += 1;
+                    }
+                    remaining
+                };
                 assert!(
                     !active.is_empty(),
                     "conservative epoch made no progress; is a channel latency missing?"
                 );
-
-                dbg_epochs += 1;
-                dbg_units += active.len() as u64;
-                if active.len() == 1 {
-                    dbg_single += 1;
-                }
                 claims.store(0, AtomicOrdering::Relaxed);
                 if threads_eff == 1 || active.len() == 1 {
                     for unit in &mut active {
                         let row = &lat[unit.shard as usize][..];
-                        process_unit(unit, &claims, remaining, row);
+                        process_unit(unit, &claims, cap, row);
                     }
                 } else {
                     // Contiguous chunks across the pool; assignment does
@@ -734,10 +685,7 @@ impl<E: Send> ShardedEngine<E> {
                         let mut chunk = spares.pop().unwrap_or_default();
                         chunk.extend(active.drain(..take));
                         job_txs[sent]
-                            .send(Job {
-                                units: chunk,
-                                cap: remaining,
-                            })
+                            .send(Job { units: chunk, cap })
                             .expect("worker pool is alive");
                         sent += 1;
                     }
@@ -763,14 +711,7 @@ impl<E: Send> ShardedEngine<E> {
                     outs.append(&mut unit.lane.outbox);
                     for out in outs.drain(..) {
                         if out.serial {
-                            let seq = self.serial_seq;
-                            self.serial_seq += 1;
-                            self.serial.push(SerialEntry {
-                                at: out.at,
-                                shard: ShardId(out.to),
-                                seq,
-                                event: out.event,
-                            });
+                            self.push_serial(ShardId(out.to), out.at, out.event);
                         } else {
                             batches[out.to as usize].push(MailEntry {
                                 at: out.at,
@@ -813,7 +754,6 @@ impl<E: Send> ShardedEngine<E> {
             }
             self.send_seqs[s] = unit.lane.send_seq;
         }
-        self.rebuild_next_cache();
         outcome
     }
 
@@ -889,14 +829,7 @@ impl<E: Send> ShardedEngine<E> {
             world.handle_serial(entry.shard, entry.at, entry.event, &mut ctx);
             for op in staged.drain(..) {
                 if op.serial {
-                    let seq = self.serial_seq;
-                    self.serial_seq += 1;
-                    self.serial.push(SerialEntry {
-                        at: op.at,
-                        shard: ShardId(op.shard),
-                        seq,
-                        event: op.event,
-                    });
+                    self.push_serial(ShardId(op.shard), op.at, op.event);
                 } else {
                     slots[op.shard as usize]
                         .as_mut()
@@ -923,12 +856,13 @@ impl<E: Send> ShardedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{ShardContext, ShardedProcess};
+    use crate::engine::{run_serial, ShardProcess, ShardSink};
 
     /// A ring relay with partitioned per-shard logs: tokens hop to the
     /// next shard with a fixed channel latency until their payload
-    /// reaches `ceiling`. Implements both the serial and the parallel
-    /// traits over identical logic so runs can be compared bit-for-bit.
+    /// reaches `ceiling`. Implements both the serial reference's and the
+    /// runner's traits over identical logic so runs can be compared
+    /// bit-for-bit.
     struct Relay {
         logs: Vec<Vec<(SimTime, u32)>>,
         latency: SimDuration,
@@ -956,15 +890,9 @@ mod tests {
         (ev < ceiling).then(|| (ShardId((shard.0 + 1) % shards), now + latency, ev + 1))
     }
 
-    impl ShardedProcess for Relay {
+    impl ShardProcess for Relay {
         type Event = u32;
-        fn handle(
-            &mut self,
-            shard: ShardId,
-            now: SimTime,
-            ev: u32,
-            ctx: &mut ShardContext<'_, u32>,
-        ) {
+        fn handle(&mut self, shard: ShardId, now: SimTime, ev: u32, ctx: &mut ShardSink<'_, u32>) {
             let shards = self.logs.len() as u32;
             self.logs[shard.0 as usize].push((now, ev));
             if let Some((to, at, next)) =
@@ -1042,19 +970,19 @@ mod tests {
         engine
     }
 
-    /// Serial `run` and `run_threaded` at 1/2/4 workers must agree on
+    /// The serial reference and `run` at 1/2/4/9 workers must agree on
     /// every log byte, the clock, the outcome and the processed count.
     #[test]
     fn threaded_matches_serial_bit_for_bit() {
         let shards = 4;
         let mut serial_engine = seeded_engine(shards);
         let mut serial_world = Relay::new(shards, 4200);
-        let serial_outcome = serial_engine.run(&mut serial_world);
+        let serial_outcome = run_serial(&mut serial_engine, &mut serial_world);
 
         for threads in [1, 2, 4, 9] {
             let mut engine = seeded_engine(shards);
             let mut world = Relay::new(shards, 4200);
-            let outcome = engine.run_threaded(&mut world, threads);
+            let outcome = engine.run(&mut world, threads);
             assert_eq!(outcome, serial_outcome, "threads={threads}");
             assert_eq!(world.logs, serial_world.logs, "threads={threads}");
             assert_eq!(engine.now(), serial_engine.now(), "threads={threads}");
@@ -1072,7 +1000,7 @@ mod tests {
     }
 
     /// Event budgets and horizons are global and land on the same event
-    /// in serial and threaded runs.
+    /// as in the serial reference, at every worker count.
     #[test]
     fn budget_and_horizon_are_global_and_identical() {
         let shards = 4;
@@ -1093,12 +1021,12 @@ mod tests {
             };
             let mut serial_engine = build();
             let mut serial_world = Relay::new(shards, u32::MAX);
-            let serial_outcome = serial_engine.run(&mut serial_world);
+            let serial_outcome = run_serial(&mut serial_engine, &mut serial_world);
 
             for threads in [1, 2, 4] {
                 let mut engine = build();
                 let mut world = Relay::new(shards, u32::MAX);
-                let outcome = engine.run_threaded(&mut world, threads);
+                let outcome = engine.run(&mut world, threads);
                 assert_eq!(outcome, serial_outcome, "threads={threads}");
                 assert_eq!(
                     engine.processed(),
@@ -1214,7 +1142,7 @@ mod tests {
                 counts: vec![0; shards],
                 censuses: Vec::new(),
             };
-            let outcome = engine.run_threaded(&mut world, threads);
+            let outcome = engine.run(&mut world, threads);
             (
                 outcome,
                 world.counts,
@@ -1279,29 +1207,26 @@ mod tests {
             let mut engine = ShardedEngine::new(2);
             engine.schedule(ShardId(0), SimTime::from_nanos(3), 0);
             let mut world = Probe { fired: Vec::new() };
-            assert_eq!(
-                engine.run_threaded(&mut world, threads),
-                RunOutcome::Drained
-            );
+            assert_eq!(engine.run(&mut world, threads), RunOutcome::Drained);
             assert_eq!(world.fired, vec![(SimTime::from_nanos(93), ShardId(1))]);
             assert_eq!(engine.processed(), 2);
         }
     }
 
-    /// With a single shard and no channels, the epoch runner degenerates
-    /// to the plain loop and matches `run` exactly.
+    /// With a single shard and no channels, one epoch drains the calendar
+    /// and matches the serial reference exactly.
     #[test]
     fn single_shard_matches_serial() {
         let mut serial_engine = ShardedEngine::new(1).with_horizon(SimTime::from_nanos(600));
         serial_engine.schedule(ShardId(0), SimTime::ZERO, 0);
         let mut serial_world = Relay::new(1, u32::MAX);
-        let serial_outcome = serial_engine.run(&mut serial_world);
+        let serial_outcome = run_serial(&mut serial_engine, &mut serial_world);
         assert_eq!(serial_outcome, RunOutcome::HorizonReached);
 
         let mut engine = ShardedEngine::new(1).with_horizon(SimTime::from_nanos(600));
         engine.schedule(ShardId(0), SimTime::ZERO, 0);
         let mut world = Relay::new(1, u32::MAX);
-        assert_eq!(engine.run_threaded(&mut world, 4), serial_outcome);
+        assert_eq!(engine.run(&mut world, 4), serial_outcome);
         assert_eq!(world.logs, serial_world.logs);
         assert_eq!(engine.now(), serial_engine.now());
         assert_eq!(engine.processed(), serial_engine.processed());
@@ -1339,7 +1264,7 @@ mod tests {
         }
         let mut engine = ShardedEngine::new(2);
         engine.schedule(ShardId(0), SimTime::ZERO, ());
-        engine.run_threaded(&mut Zero, 2);
+        engine.run(&mut Zero, 2);
     }
 
     /// A send that beats its declared channel latency is a contract
@@ -1382,6 +1307,6 @@ mod tests {
         }
         let mut engine = ShardedEngine::new(2);
         engine.schedule(ShardId(0), SimTime::ZERO, ());
-        engine.run_threaded(&mut Cheat, 1);
+        engine.run(&mut Cheat, 1);
     }
 }

@@ -1,12 +1,11 @@
-//! Shard-partitioned discrete-event engine with a deterministic
-//! cross-shard mailbox.
+//! Shard-partitioned event calendars with a deterministic cross-shard
+//! mailbox.
 //!
-//! A [`ShardedEngine`] runs one event calendar per *shard* — a rack in the
-//! dReDBox scenarios; the whole system is shard 0 for everything that does
-//! not opt into partitioning. The engine stays single-threaded: sharding
-//! here is a *data-structure* boundary (per-shard heaps, per-shard control
-//! planes) that a future threaded runner can pick up without changing a
-//! single report bit.
+//! A [`ShardedEngine`] holds one event calendar per *shard* — a rack in the
+//! dReDBox scenarios; a single-rack replay is one shard. Its one run loop,
+//! [`ShardedEngine::run`] (see [`crate::parallel`]), drives a
+//! [`ParallelWorld`] torn into one [`WorldWorker`] per shard through
+//! conservative epochs on any number of worker threads.
 //!
 //! # Ordering contract
 //!
@@ -15,8 +14,11 @@
 //!
 //! 1. **Within a shard**, locally scheduled events fire in (time, local
 //!    seq) order — exactly the single-engine contract.
-//! 2. **Across shards**, the next event globally is the one with the
-//!    earliest time; at equal times the lowest shard id goes first.
+//! 2. **Across shards**, each worker owns its shard's state, so the order
+//!    of equal-time events on different shards is unobservable — except
+//!    where a binding event budget cuts the run, which then single-steps
+//!    the global order: earliest time first, the lowest shard id at equal
+//!    times.
 //! 3. **Cross-shard sends** land in the destination shard's mailbox, a
 //!    min-heap ordered by (arrival time, source shard, send seq). At equal
 //!    arrival times a shard fires its *local* events before its mailbox
@@ -26,22 +28,23 @@
 //!    is a pure function of timestamps and ids, never of execution
 //!    interleaving.
 //!
-//! With a single shard and only local scheduling, the run is
-//! *bit-identical* to a flat single-calendar engine on the same trace:
-//! same pops, same clock, same [`RunOutcome`] (the tests compare against
-//! such a reference engine).
+//! With a single shard, the run is *bit-identical* to a flat
+//! single-calendar engine on the same trace: same pops, same clock, same
+//! [`RunOutcome`] (the tests compare against such a reference engine).
 //!
 //! ```
-//! use dredbox_sim::shard::{RunOutcome, ShardContext, ShardId, ShardedEngine, ShardedProcess};
-//! use dredbox_sim::time::{SimDuration, SimTime};
+//! use dredbox_sim::prelude::*;
 //!
-//! /// A token bounces between two racks until it has hopped 6 times.
-//! struct PingPong { hops: u32 }
-//! impl ShardedProcess for PingPong {
+//! /// A token bounces between two racks until it has hopped 6 times;
+//! /// each rack counts the hops it saw.
+//! struct PingPong { seen: Vec<u32> }
+//! struct Rack { seen: u32 }
+//!
+//! impl WorldWorker for Rack {
 //!     type Event = u32;
 //!     fn handle(&mut self, shard: ShardId, now: SimTime, hop: u32,
-//!               ctx: &mut ShardContext<'_, u32>) {
-//!         self.hops = hop;
+//!               ctx: &mut WorkerContext<'_, u32>) {
+//!         self.seen += 1;
 //!         if hop < 6 {
 //!             let to = ShardId((shard.0 + 1) % 2);
 //!             ctx.send(to, now + SimDuration::from_micros(1), hop + 1);
@@ -49,12 +52,34 @@
 //!     }
 //! }
 //!
-//! let mut engine = ShardedEngine::new(2);
-//! engine.schedule(ShardId(0), SimTime::ZERO, 1);
-//! let mut world = PingPong { hops: 0 };
-//! assert_eq!(engine.run(&mut world), RunOutcome::Drained);
-//! assert_eq!(world.hops, 6);
-//! assert_eq!(engine.processed(), 6);
+//! impl ParallelWorld for PingPong {
+//!     type Event = u32;
+//!     type Worker = Rack;
+//!     fn split(&mut self, _shards: usize) -> Vec<Rack> {
+//!         self.seen.iter().map(|&seen| Rack { seen }).collect()
+//!     }
+//!     fn reunite(&mut self, racks: Vec<Rack>) {
+//!         self.seen = racks.into_iter().map(|rack| rack.seen).collect();
+//!     }
+//!     /// A hop takes one microsecond: the lookahead every shard gets.
+//!     fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+//!         Some(SimDuration::from_micros(1))
+//!     }
+//!     fn handle_serial(&mut self, _: ShardId, _: SimTime, _: u32,
+//!                      _: &mut SerialContext<'_, u32>) {
+//!         unreachable!("the token never needs the whole world")
+//!     }
+//! }
+//!
+//! for threads in [1, 2] {
+//!     let mut engine = ShardedEngine::new(2);
+//!     engine.schedule(ShardId(0), SimTime::ZERO, 1);
+//!     let mut world = PingPong { seen: vec![0, 0] };
+//!     assert_eq!(engine.run(&mut world, threads), RunOutcome::Drained);
+//!     assert_eq!(world.seen, vec![3, 3]);
+//!     assert_eq!(engine.processed(), 6);
+//!     assert_eq!(engine.now(), SimTime::from_micros(5));
+//! }
 //! ```
 
 use std::cmp::Ordering;
@@ -62,11 +87,6 @@ use std::collections::BinaryHeap;
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
-
-/// Sentinel in the flat next-event cache for a shard with nothing pending.
-/// An event genuinely scheduled at this time still runs — the scan falls
-/// back to peeking the heaps when every slot reads the sentinel.
-const IDLE: SimTime = SimTime::from_nanos(u64::MAX);
 
 pub use crate::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
 
@@ -147,117 +167,8 @@ impl<E> Ord for MailEntry<E> {
     }
 }
 
-/// A process partitioned across shards: reacts to events of type `E`
-/// delivered on a given shard, scheduling follow-ups through the
-/// [`ShardContext`].
-pub trait ShardedProcess {
-    /// The event type handled by this process.
-    type Event;
-
-    /// Handles `event` firing on `shard` at `now`. Local follow-ups and
-    /// cross-shard sends go through `ctx`; scheduling in the past is a
-    /// logic error and panics inside [`ShardedEngine::run`].
-    fn handle(
-        &mut self,
-        shard: ShardId,
-        now: SimTime,
-        event: Self::Event,
-        ctx: &mut ShardContext<'_, Self::Event>,
-    );
-}
-
-/// Scheduling surface handed to [`ShardedProcess::handle`]: the firing
-/// shard's own calendar plus the mailboxes of every other shard.
-pub struct ShardContext<'a, E> {
-    shard: ShardId,
-    now: SimTime,
-    local: &'a mut EventQueue<E>,
-    mailboxes: &'a mut [BinaryHeap<MailEntry<E>>],
-    send_seq: &'a mut u64,
-    /// The engine's flat next-event cache: a send lowers the destination
-    /// slot in place, so the engine never re-peeks untouched shards.
-    next_times: &'a mut [SimTime],
-    next_srcs: &'a mut [Source],
-    /// Whether the handler sent to another shard's mailbox; a send can
-    /// change who wins the next global pop, so it disables the engine's
-    /// same-shard continuation fast path for this event.
-    sent: bool,
-}
-
-impl<E> ShardContext<'_, E> {
-    /// The shard the current event fired on.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` on the current shard's own calendar at absolute
-    /// time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current clock.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "cannot schedule an event in the past");
-        self.local.schedule(at, event);
-    }
-
-    /// Sends `event` to shard `to`, arriving at absolute time `at`. A send
-    /// to the current shard is a plain local [`ShardContext::schedule`];
-    /// anything else goes through `to`'s mailbox and fires in
-    /// (time, source shard, send seq) order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current clock or `to` is not a
-    /// shard of this engine.
-    pub fn send(&mut self, to: ShardId, at: SimTime, event: E) {
-        if to == self.shard {
-            self.schedule(at, event);
-            return;
-        }
-        assert!(at >= self.now, "cannot send an event into the past");
-        let seq = *self.send_seq;
-        *self.send_seq += 1;
-        debug_assert!(
-            seq < (1 << 48),
-            "per-source send seq overflows the merge key"
-        );
-        self.mailboxes
-            .get_mut(to.0 as usize)
-            .unwrap_or_else(|| panic!("{to} is not a shard of this engine"))
-            .push(MailEntry {
-                at,
-                from: self.shard,
-                seq,
-                event,
-            });
-        // A strictly earlier arrival takes over the destination's cached
-        // next-event slot; at equal times the existing slot wins (a local
-        // event outranks mail, and an older mail entry outranks a newer).
-        if at < self.next_times[to.0 as usize] {
-            self.next_times[to.0 as usize] = at;
-            self.next_srcs[to.0 as usize] = Source::Mailbox;
-        }
-        self.sent = true;
-    }
-}
-
-/// Where a shard's next event comes from: its own calendar or its mailbox.
-/// Local sorts first so that, at equal times, locally scheduled events
-/// fire before cross-shard arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Source {
-    Local,
-    Mailbox,
-}
-
 /// A serial event: executes at an epoch barrier of
-/// [`ShardedEngine::run_threaded`] with exclusive access to the whole
+/// [`ShardedEngine::run`] with exclusive access to the whole
 /// world, ordered by (time, shard, seq) against its peers.
 #[derive(Debug, Clone)]
 pub(crate) struct SerialEntry<E> {
@@ -307,16 +218,7 @@ pub struct ShardedEngine<E> {
     /// bit-identical to the former global counter — and, unlike a global
     /// counter, each worker thread owns its own.
     pub(crate) send_seqs: Vec<u64>,
-    /// Cached time of each shard's next event, [`IDLE`] when the shard
-    /// has nothing pending. Kept in lockstep with the queues and
-    /// mailboxes so the per-pop global argmin is a branch-free min scan
-    /// of a flat time vector instead of two heap peeks per shard.
-    next_times: Vec<SimTime>,
-    /// Source of each cached next time; meaningful only where the
-    /// matching [`ShardedEngine::next_times`] slot is not [`IDLE`].
-    next_srcs: Vec<Source>,
-    /// Barrier-executed events for [`ShardedEngine::run_threaded`],
-    /// ordered (time, shard, seq) across the whole engine.
+    /// Barrier-executed events, ordered (time, shard, seq) across the whole engine.
     pub(crate) serial: BinaryHeap<SerialEntry<E>>,
     pub(crate) serial_seq: u64,
     pub(crate) horizon: Option<SimTime>,
@@ -342,8 +244,6 @@ impl<E> ShardedEngine<E> {
             queues: (0..shards).map(|_| EventQueue::new()).collect(),
             mailboxes: (0..shards).map(|_| BinaryHeap::new()).collect(),
             send_seqs: vec![0; shards],
-            next_times: vec![IDLE; shards],
-            next_srcs: vec![Source::Local; shards],
             serial: BinaryHeap::new(),
             serial_seq: 0,
             horizon: None,
@@ -399,14 +299,12 @@ impl<E> ShardedEngine<E> {
             .get_mut(shard.0 as usize)
             .unwrap_or_else(|| panic!("{shard} is not a shard of this engine"))
             .schedule(at, event);
-        self.refresh_next(shard.0 as usize);
     }
 
     /// Schedules a *serial* event at absolute time `at`, attributed to
     /// `shard` for (time, shard, seq) ordering. Serial events execute at
-    /// the epoch barriers of [`ShardedEngine::run_threaded`] with
-    /// exclusive access to the whole world; the plain [`ShardedEngine::run`]
-    /// loop refuses to start while any are pending.
+    /// the epoch barriers of [`ShardedEngine::run`] with exclusive access
+    /// to the whole world.
     ///
     /// # Panics
     ///
@@ -418,6 +316,12 @@ impl<E> ShardedEngine<E> {
             (shard.0 as usize) < self.queues.len(),
             "{shard} is not a shard of this engine"
         );
+        self.push_serial(shard, at, event);
+    }
+
+    /// Queues a serial event behind every earlier-queued one with the same
+    /// (time, shard).
+    pub(crate) fn push_serial(&mut self, shard: ShardId, at: SimTime, event: E) {
         let seq = self.serial_seq;
         self.serial_seq += 1;
         self.serial.push(SerialEntry {
@@ -427,164 +331,60 @@ impl<E> ShardedEngine<E> {
             event,
         });
     }
-
-    /// Recomputes the cached next-event slot of `shard` from its heaps.
-    pub(crate) fn refresh_next(&mut self, shard: usize) {
-        let local = self.queues[shard].peek_time();
-        let mail = self.mailboxes[shard].peek().map(|e| e.at);
-        let (t, src) = match (local, mail) {
-            (None, None) => (IDLE, Source::Local),
-            (Some(t), None) => (t, Source::Local),
-            (None, Some(t)) => (t, Source::Mailbox),
-            (Some(l), Some(m)) => {
-                // At equal times the local calendar wins over the mailbox.
-                if m < l {
-                    (m, Source::Mailbox)
-                } else {
-                    (l, Source::Local)
-                }
-            }
-        };
-        self.next_times[shard] = t;
-        self.next_srcs[shard] = src;
-    }
-
-    /// Rebuilds every cached next-event slot (used after bulk surgery on
-    /// the queues, e.g. when `run_threaded` reassembles its lanes).
-    pub(crate) fn rebuild_next_cache(&mut self) {
-        for shard in 0..self.queues.len() {
-            self.refresh_next(shard);
-        }
-    }
-
-    /// The globally next event: earliest time, ties to the lowest shard.
-    /// A branch-free min scan of the flat time cache — no heap peeks.
-    fn global_next(&self) -> Option<(SimTime, usize, Source)> {
-        let mut best_t = IDLE;
-        let mut best_s = usize::MAX;
-        for (shard, &t) in self.next_times.iter().enumerate() {
-            // Strict `<` keeps the lowest shard id on equal times,
-            // because shards are visited in ascending order.
-            if t < best_t {
-                best_t = t;
-                best_s = shard;
-            }
-        }
-        if best_s == usize::MAX {
-            // Every slot reads the sentinel: the engine is drained —
-            // unless an event is genuinely scheduled at the sentinel
-            // time itself, which only a direct heap peek can tell.
-            return self.global_next_slow();
-        }
-        Some((best_t, best_s, self.next_srcs[best_s]))
-    }
-
-    /// Sentinel-collision fallback for [`ShardedEngine::global_next`]:
-    /// peeks the heaps directly to find an event scheduled at [`IDLE`].
-    #[cold]
-    fn global_next_slow(&self) -> Option<(SimTime, usize, Source)> {
-        let mut best: Option<(SimTime, usize, Source)> = None;
-        for shard in 0..self.queues.len() {
-            let local = self.queues[shard].peek_time();
-            let mail = self.mailboxes[shard].peek().map(|e| e.at);
-            let slot = match (local, mail) {
-                (None, None) => None,
-                (Some(t), None) => Some((t, Source::Local)),
-                (None, Some(t)) => Some((t, Source::Mailbox)),
-                (Some(l), Some(m)) => {
-                    if m < l {
-                        Some((m, Source::Mailbox))
-                    } else {
-                        Some((l, Source::Local))
-                    }
-                }
-            };
-            if let Some((t, src)) = slot {
-                let earlier = match best {
-                    None => true,
-                    Some((bt, _, _)) => t < bt,
-                };
-                if earlier {
-                    best = Some((t, shard, src));
-                }
-            }
-        }
-        best
-    }
-
-    /// Runs the simulation single-threaded until every calendar and
-    /// mailbox drains or a limit is hit: the budget is checked before each
-    /// pop and the horizon against the next event's time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serial events are pending — those have barrier semantics
-    /// only [`ShardedEngine::run_threaded`] implements.
-    pub fn run<P: ShardedProcess<Event = E>>(&mut self, world: &mut P) -> RunOutcome {
-        assert!(
-            self.serial.is_empty(),
-            "serial events require run_threaded; the plain run loop has no barriers"
-        );
-        // Same-shard continuation: after firing shard `s` at time `t` with no
-        // cross-shard sends, if `s`'s refreshed slot still reads `t` then `s`
-        // stays the global winner — it held the lowest id among the time-`t`
-        // slots and no other slot moved — so the min scan can be skipped.
-        let mut hint: Option<usize> = None;
-        loop {
-            if let Some(max) = self.max_events {
-                if self.processed >= max {
-                    return RunOutcome::BudgetExhausted;
-                }
-            }
-            let (next_time, shard, source) = match hint.take() {
-                Some(s) => (self.next_times[s], s, self.next_srcs[s]),
-                None => match self.global_next() {
-                    Some(next) => next,
-                    None => return RunOutcome::Drained,
-                },
-            };
-            if let Some(h) = self.horizon {
-                if next_time > h {
-                    return RunOutcome::HorizonReached;
-                }
-            }
-            let (at, event) = match source {
-                Source::Local => self.queues[shard].pop().expect("peeked event must exist"),
-                Source::Mailbox => {
-                    let entry = self.mailboxes[shard].pop().expect("peeked mail must exist");
-                    (entry.at, entry.event)
-                }
-            };
-            debug_assert!(at >= self.now, "shard produced a time in the past");
-            self.now = at;
-            self.processed += 1;
-            let mut ctx = ShardContext {
-                shard: ShardId(shard as u32),
-                now: at,
-                local: &mut self.queues[shard],
-                mailboxes: &mut self.mailboxes,
-                send_seq: &mut self.send_seqs[shard],
-                next_times: &mut self.next_times,
-                next_srcs: &mut self.next_srcs,
-                sent: false,
-            };
-            world.handle(ShardId(shard as u32), at, event, &mut ctx);
-            let sent = ctx.sent;
-            // Sends already lowered their destinations' cached slots in
-            // place; only the fired shard's own slot needs a re-peek.
-            self.refresh_next(shard);
-            if !sent && at < IDLE && self.next_times[shard] == at {
-                hint = Some(shard);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::mem;
+
     use super::*;
     use crate::engine::{Engine, Process};
+    use crate::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
     use crate::time::SimDuration;
+
+    /// A test world of one `W` per shard with the same channel latency
+    /// between every pair of shards; the run splits it into its workers.
+    struct Shards<W> {
+        workers: Vec<W>,
+        latency: SimDuration,
+    }
+
+    impl<W: WorldWorker + Send> ParallelWorld for Shards<W> {
+        type Event = W::Event;
+        type Worker = W;
+        fn split(&mut self, shards: usize) -> Vec<W> {
+            assert_eq!(shards, self.workers.len());
+            mem::take(&mut self.workers)
+        }
+        fn reunite(&mut self, workers: Vec<W>) {
+            self.workers = workers;
+        }
+        fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+            Some(self.latency)
+        }
+        fn handle_serial(
+            &mut self,
+            _shard: ShardId,
+            _now: SimTime,
+            _event: W::Event,
+            _ctx: &mut SerialContext<'_, W::Event>,
+        ) {
+            unreachable!("test worlds schedule no serial events")
+        }
+    }
+
+    /// Runs `engine` over one worker per shard at `threads` workers and
+    /// hands the workers back with the outcome.
+    fn run_shards<W: WorldWorker + Send>(
+        engine: &mut ShardedEngine<W::Event>,
+        workers: Vec<W>,
+        latency: SimDuration,
+        threads: usize,
+    ) -> (RunOutcome, Vec<W>) {
+        let mut world = Shards { workers, latency };
+        let outcome = engine.run(&mut world, threads);
+        (outcome, world.workers)
+    }
 
     /// Mirrors the single-engine `Pinger`, recording the full pop trace.
     struct Tracer {
@@ -593,14 +393,24 @@ mod tests {
         interval: SimDuration,
     }
 
-    impl ShardedProcess for Tracer {
+    impl Tracer {
+        fn new(respawn: u32, interval: SimDuration) -> Self {
+            Tracer {
+                trace: Vec::new(),
+                respawn,
+                interval,
+            }
+        }
+    }
+
+    impl WorldWorker for Tracer {
         type Event = u32;
         fn handle(
             &mut self,
             shard: ShardId,
             now: SimTime,
             ev: u32,
-            ctx: &mut ShardContext<'_, u32>,
+            ctx: &mut WorkerContext<'_, u32>,
         ) {
             self.trace.push((now, shard.0, ev));
             if ev < self.respawn {
@@ -609,13 +419,7 @@ mod tests {
         }
     }
 
-    struct FlatTracer {
-        trace: Vec<(SimTime, u32, u32)>,
-        respawn: u32,
-        interval: SimDuration,
-    }
-
-    impl Process for FlatTracer {
+    impl Process for Tracer {
         type Event = u32;
         fn handle(&mut self, now: SimTime, ev: u32, q: &mut EventQueue<u32>) {
             self.trace.push((now, 0, ev));
@@ -625,48 +429,34 @@ mod tests {
         }
     }
 
+    const LATENCY: SimDuration = SimDuration::from_nanos(50);
+
     #[test]
     fn one_shard_matches_the_flat_engine_bit_for_bit() {
         let interval = SimDuration::from_micros(3);
         let mut flat = Engine::new().with_horizon(SimTime::from_micros(40));
-        let mut flat_world = FlatTracer {
-            trace: Vec::new(),
-            respawn: 1_000,
-            interval,
-        };
+        let mut flat_world = Tracer::new(1_000, interval);
         flat.schedule(SimTime::ZERO, 0);
         flat.schedule(SimTime::from_micros(5), 100);
         let flat_outcome = flat.run(&mut flat_world);
 
-        let mut sharded = ShardedEngine::new(1).with_horizon(SimTime::from_micros(40));
-        let mut world = Tracer {
-            trace: Vec::new(),
-            respawn: 1_000,
-            interval,
-        };
-        sharded.schedule(ShardId(0), SimTime::ZERO, 0);
-        sharded.schedule(ShardId(0), SimTime::from_micros(5), 100);
-        let outcome = sharded.run(&mut world);
+        for threads in [1, 2] {
+            let mut sharded = ShardedEngine::new(1).with_horizon(SimTime::from_micros(40));
+            sharded.schedule(ShardId(0), SimTime::ZERO, 0);
+            sharded.schedule(ShardId(0), SimTime::from_micros(5), 100);
+            let (outcome, workers) = run_shards(
+                &mut sharded,
+                vec![Tracer::new(1_000, interval)],
+                LATENCY,
+                threads,
+            );
 
-        assert_eq!(outcome, flat_outcome);
-        assert_eq!(world.trace, flat_world.trace);
-        assert_eq!(sharded.now(), flat.now());
-        assert_eq!(sharded.processed(), flat.processed());
-        assert_eq!(sharded.pending(), flat.pending());
-    }
-
-    #[test]
-    fn sharded_runs_replay_deterministically() {
-        let run = || {
-            let mut engine = ShardedEngine::new(4);
-            let mut world = Bouncer { log: Vec::new() };
-            for s in 0..4u32 {
-                engine.schedule(ShardId(s), SimTime::from_nanos(u64::from(s % 2)), s);
-            }
-            let outcome = engine.run(&mut world);
-            (outcome, world.log, engine.processed())
-        };
-        assert_eq!(run(), run());
+            assert_eq!(outcome, flat_outcome, "threads={threads}");
+            assert_eq!(workers[0].trace, flat_world.trace, "threads={threads}");
+            assert_eq!(sharded.now(), flat.now(), "threads={threads}");
+            assert_eq!(sharded.processed(), flat.processed(), "threads={threads}");
+            assert_eq!(sharded.pending(), flat.pending(), "threads={threads}");
+        }
     }
 
     /// Every event hops to the next shard until its payload hits 40.
@@ -674,14 +464,14 @@ mod tests {
         log: Vec<(SimTime, u32, u32)>,
     }
 
-    impl ShardedProcess for Bouncer {
+    impl WorldWorker for Bouncer {
         type Event = u32;
         fn handle(
             &mut self,
             shard: ShardId,
             now: SimTime,
             ev: u32,
-            ctx: &mut ShardContext<'_, u32>,
+            ctx: &mut WorkerContext<'_, u32>,
         ) {
             self.log.push((now, shard.0, ev));
             if ev < 40 {
@@ -692,120 +482,148 @@ mod tests {
     }
 
     #[test]
+    fn sharded_runs_replay_deterministically() {
+        let run = |threads: usize| {
+            let mut engine = ShardedEngine::new(4);
+            for s in 0..4u32 {
+                engine.schedule(ShardId(s), SimTime::from_nanos(u64::from(s % 2)), s);
+            }
+            let bouncers = (0..4).map(|_| Bouncer { log: Vec::new() }).collect();
+            let latency = SimDuration::from_nanos(7);
+            let (outcome, workers) = run_shards(&mut engine, bouncers, latency, threads);
+            let logs: Vec<_> = workers.into_iter().map(|w| w.log).collect();
+            (outcome, logs, engine.processed(), engine.now())
+        };
+        let baseline = run(1);
+        assert_eq!(baseline.0, RunOutcome::Drained);
+        assert_eq!(baseline, run(1));
+        assert_eq!(baseline, run(2));
+    }
+
+    /// Shard 0 records what it receives; every other shard forwards its
+    /// payload to shard 0, arriving at t=100.
+    struct Funnel {
+        received: Vec<u32>,
+    }
+
+    impl WorldWorker for Funnel {
+        type Event = u32;
+        fn handle(
+            &mut self,
+            shard: ShardId,
+            _now: SimTime,
+            ev: u32,
+            ctx: &mut WorkerContext<'_, u32>,
+        ) {
+            if shard == ShardId(0) {
+                self.received.push(ev);
+            } else {
+                ctx.send(ShardId(0), SimTime::from_nanos(100), ev);
+            }
+        }
+    }
+
+    fn funnels(shards: usize) -> Vec<Funnel> {
+        (0..shards)
+            .map(|_| Funnel {
+                received: Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
     fn mailbox_merge_orders_by_time_shard_seq_not_send_order() {
         // Shard 2 executes FIRST (t=0) and sends to shard 0 arriving at
         // t=100; shard 1 executes later (t=5) and sends arriving at the
         // same t=100. The merge rule (time, source shard, send seq) must
         // pop shard 1's payload first despite shard 2 sending first.
-        struct W {
-            received: Vec<u32>,
+        for threads in [1, 2] {
+            let mut engine = ShardedEngine::new(3);
+            engine.schedule(ShardId(2), SimTime::ZERO, 22);
+            engine.schedule(ShardId(1), SimTime::from_nanos(5), 11);
+            let (outcome, workers) = run_shards(&mut engine, funnels(3), LATENCY, threads);
+            assert_eq!(outcome, RunOutcome::Drained);
+            assert_eq!(workers[0].received, vec![11, 22], "threads={threads}");
         }
-        impl ShardedProcess for W {
-            type Event = u32;
-            fn handle(
-                &mut self,
-                shard: ShardId,
-                _now: SimTime,
-                ev: u32,
-                ctx: &mut ShardContext<'_, u32>,
-            ) {
-                if shard == ShardId(0) {
-                    self.received.push(ev);
-                } else {
-                    ctx.send(ShardId(0), SimTime::from_nanos(100), ev);
-                }
-            }
-        }
-        let mut engine = ShardedEngine::new(3);
-        engine.schedule(ShardId(2), SimTime::ZERO, 22);
-        engine.schedule(ShardId(1), SimTime::from_nanos(5), 11);
-        let mut world = W {
-            received: Vec::new(),
-        };
-        assert_eq!(engine.run(&mut world), RunOutcome::Drained);
-        assert_eq!(world.received, vec![11, 22]);
     }
 
     #[test]
     fn local_events_fire_before_mailbox_arrivals_at_equal_times() {
         // Shard 0 has a LOCAL event at t=100; shard 1 sends an arrival for
         // the same t=100. The local event must pop first.
-        struct W {
-            order: Vec<&'static str>,
+        for threads in [1, 2] {
+            let mut engine = ShardedEngine::new(2);
+            engine.schedule(ShardId(1), SimTime::ZERO, 1);
+            engine.schedule(ShardId(0), SimTime::from_nanos(100), 0);
+            let (outcome, workers) = run_shards(&mut engine, funnels(2), LATENCY, threads);
+            assert_eq!(outcome, RunOutcome::Drained);
+            assert_eq!(workers[0].received, vec![0, 1], "threads={threads}");
         }
-        impl ShardedProcess for W {
-            type Event = &'static str;
-            fn handle(
-                &mut self,
-                shard: ShardId,
-                _now: SimTime,
-                ev: &'static str,
-                ctx: &mut ShardContext<'_, &'static str>,
-            ) {
-                if shard == ShardId(1) {
-                    ctx.send(ShardId(0), SimTime::from_nanos(100), "remote");
-                } else {
-                    self.order.push(ev);
-                }
-            }
-        }
-        let mut engine = ShardedEngine::new(2);
-        engine.schedule(ShardId(1), SimTime::ZERO, "trigger");
-        engine.schedule(ShardId(0), SimTime::from_nanos(100), "local");
-        let mut world = W { order: Vec::new() };
-        assert_eq!(engine.run(&mut world), RunOutcome::Drained);
-        assert_eq!(world.order, vec!["local", "remote"]);
     }
 
     #[test]
     fn equal_time_pops_go_to_the_lowest_shard_first() {
-        struct W {
-            order: Vec<u32>,
-        }
-        impl ShardedProcess for W {
-            type Event = ();
-            fn handle(
-                &mut self,
-                shard: ShardId,
-                _now: SimTime,
-                _ev: (),
-                _ctx: &mut ShardContext<'_, ()>,
-            ) {
-                self.order.push(shard.0);
+        // Each shard owns its state, so the order shows only where a
+        // binding budget cuts between equal-time events: the budget must
+        // go to the lowest shards.
+        for threads in [1, 2] {
+            let mut engine = ShardedEngine::new(3).with_event_budget(2);
+            for s in [2u32, 0, 1] {
+                engine.schedule(ShardId(s), SimTime::from_nanos(9), 0);
             }
+            let tracers = (0..3).map(|_| Tracer::new(0, LATENCY)).collect();
+            let (outcome, workers) = run_shards(&mut engine, tracers, LATENCY, threads);
+            assert_eq!(outcome, RunOutcome::BudgetExhausted);
+            let fired: Vec<usize> = workers.iter().map(|w| w.trace.len()).collect();
+            assert_eq!(fired, vec![1, 1, 0], "threads={threads}");
+            assert_eq!(engine.pending(), 1);
         }
-        let mut engine = ShardedEngine::new(3);
-        for s in [2u32, 0, 1] {
-            engine.schedule(ShardId(s), SimTime::from_nanos(9), ());
-        }
-        let mut world = W { order: Vec::new() };
-        engine.run(&mut world);
-        assert_eq!(world.order, vec![0, 1, 2]);
     }
 
     #[test]
     fn horizon_and_budget_match_flat_semantics() {
-        let mut engine = ShardedEngine::new(2).with_horizon(SimTime::from_micros(3));
-        engine.schedule(ShardId(0), SimTime::ZERO, 0);
-        let mut world = Tracer {
-            trace: Vec::new(),
-            respawn: 1_000,
-            interval: SimDuration::from_micros(1),
-        };
-        assert_eq!(engine.run(&mut world), RunOutcome::HorizonReached);
-        // t=0,1,2,3 us processed; the t=4 us event stays queued.
-        assert_eq!(world.trace.len(), 4);
-        assert_eq!(engine.pending(), 1);
+        let interval = SimDuration::from_micros(1);
+        for threads in [1, 2] {
+            let mut engine = ShardedEngine::new(2).with_horizon(SimTime::from_micros(3));
+            engine.schedule(ShardId(0), SimTime::ZERO, 0);
+            let tracers = (0..2).map(|_| Tracer::new(1_000, interval)).collect();
+            let (outcome, workers) = run_shards(&mut engine, tracers, LATENCY, threads);
+            assert_eq!(outcome, RunOutcome::HorizonReached);
+            // t=0,1,2,3 us processed; the t=4 us event stays queued.
+            assert_eq!(workers[0].trace.len(), 4, "threads={threads}");
+            assert_eq!(engine.processed(), 4);
+            assert_eq!(engine.now(), SimTime::from_micros(3));
+            assert_eq!(engine.pending(), 1);
 
-        let mut engine = ShardedEngine::new(2).with_event_budget(7);
-        engine.schedule(ShardId(1), SimTime::ZERO, 0);
-        let mut world = Tracer {
-            trace: Vec::new(),
-            respawn: 1_000,
-            interval: SimDuration::from_nanos(5),
-        };
-        assert_eq!(engine.run(&mut world), RunOutcome::BudgetExhausted);
-        assert_eq!(world.trace.len(), 7);
+            let interval = SimDuration::from_nanos(5);
+            let mut engine = ShardedEngine::new(2).with_event_budget(7);
+            engine.schedule(ShardId(1), SimTime::ZERO, 0);
+            let tracers = (0..2).map(|_| Tracer::new(1_000, interval)).collect();
+            let (outcome, workers) = run_shards(&mut engine, tracers, LATENCY, threads);
+            assert_eq!(outcome, RunOutcome::BudgetExhausted);
+            assert_eq!(workers[1].trace.len(), 7, "threads={threads}");
+            assert_eq!(engine.processed(), 7);
+        }
+    }
+
+    #[test]
+    fn the_last_representable_instant_is_reachable() {
+        // An unbounded run and a horizon at u64::MAX both process an
+        // event scheduled at the last instant, on one shard and on two.
+        let end = SimTime::from_nanos(u64::MAX);
+        for (shards, horizon) in [(1, None), (1, Some(end)), (2, None), (2, Some(end))] {
+            let mut engine = ShardedEngine::new(shards);
+            if let Some(h) = horizon {
+                engine = engine.with_horizon(h);
+            }
+            engine.schedule(ShardId(0), SimTime::ZERO, 0);
+            engine.schedule(ShardId(0), end, 0);
+            let tracers = (0..shards).map(|_| Tracer::new(0, LATENCY)).collect();
+            let (outcome, _) = run_shards(&mut engine, tracers, LATENCY, 2);
+            assert_eq!(outcome, RunOutcome::Drained, "{shards} shards, {horizon:?}");
+            assert_eq!(engine.processed(), 2);
+            assert_eq!(engine.now(), end);
+        }
     }
 
     #[test]
@@ -815,23 +633,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "no declared channel")]
     fn sending_to_an_unknown_shard_panics() {
-        struct W;
-        impl ShardedProcess for W {
+        struct Stray;
+        impl WorldWorker for Stray {
             type Event = ();
             fn handle(
                 &mut self,
                 _s: ShardId,
                 now: SimTime,
                 _ev: (),
-                ctx: &mut ShardContext<'_, ()>,
+                ctx: &mut WorkerContext<'_, ()>,
             ) {
-                ctx.send(ShardId(9), now, ());
+                ctx.send(ShardId(9), now + LATENCY, ());
             }
         }
         let mut engine = ShardedEngine::new(2);
         engine.schedule(ShardId(0), SimTime::ZERO, ());
-        engine.run(&mut W);
+        run_shards(&mut engine, vec![Stray, Stray], LATENCY, 1);
     }
 }
